@@ -8,8 +8,6 @@
 //!   vertices, `f` = feature width, `h` = hidden width; e.g. `8192×602 ·
 //!   602×256` is a PPI-scale forward weight application) — the shapes the
 //!   training loop actually issues, benchmarked for the packed kernel
-//!   against the seed's unpacked k-blocked kernel
-//!   (`gemm::matmul_unpacked`) so the packing win stays measured, and
 //!   **per microkernel tier** (`packed_scalar` / `packed_avx2` /
 //!   `packed_avx512`, whichever the CPU supports) so the explicit-SIMD
 //!   gain over the autovectorised fallback stays measured too (acceptance
@@ -57,7 +55,7 @@ fn bench_gemm(c: &mut Criterion) {
     group.finish();
 }
 
-/// GCN training shapes: packed kernel vs the seed's unpacked kernel.
+/// GCN training shapes: the packed kernel per tier and per layout.
 fn bench_gemm_gcn_shapes(c: &mut Criterion) {
     gsgcn_bench::announce_kernel_tier();
     let mut group = c.benchmark_group("gemm_gcn");
@@ -96,13 +94,6 @@ fn bench_gemm_gcn_shapes(c: &mut Criterion) {
             );
         }
         criterion::set_json_tags([("kernel", gemm::selected_tier().name())]);
-        group.bench_with_input(
-            BenchmarkId::new("seed_unpacked", format!("{n}x{f}x{h}")),
-            &n,
-            |bch, _| {
-                bch.iter(|| black_box(gemm::matmul_unpacked(&act, &w)));
-            },
-        );
         // The backward shapes: weight gradient (tn) and input gradient
         // (nt) at the same scale — the layouts the seed kernel handled
         // worst (nt ran a horizontal-reduction dot-product loop).

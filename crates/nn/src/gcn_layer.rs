@@ -149,7 +149,10 @@ impl GcnLayer {
         }
     }
 
-    /// Select the fused (default) or unfused reference hot path.
+    /// Select the fused (default) or unfused reference hot path. The
+    /// unfused path stays because it is the only one whose timings split
+    /// into the Fig. 3 propagation / weight-application buckets, until a
+    /// span tree attributes the fused call's pack and microkernel time.
     pub fn with_fused(mut self, fused: bool) -> Self {
         self.fused = fused;
         self

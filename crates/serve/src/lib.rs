@@ -54,14 +54,18 @@
 //!
 //! # Wire protocols
 //!
-//! Both front-ends ([`poll`], the event-driven default, and [`tcp`],
-//! the thread-per-connection original — both `std::net` only) speak the
+//! The front-end ([`poll`], `std::net` only) speaks the
 //! newline-delimited **line protocol**: `"12 55 103\n"` in,
 //! `"ok 12:7:0.9312 55:3:0.5127 103:7:0.8809\n"` out,
 //! `"err <message>\n"` on failure and `"overloaded\n"` when admission
-//! control sheds the request.
+//! control sheds the request. Ids may be separated by spaces, commas or
+//! tabs; each `node:labels:prob` triple reports the queried node, its
+//! decided labels (comma-separated; argmax for single-label models, the
+//! ≥ 0.5-probability classes — possibly `-` for none — for multi-label)
+//! and the highest class probability. An empty line or `quit` closes
+//! the connection.
 //!
-//! [`poll`] additionally speaks a pipelined **binary protocol**
+//! It also speaks a pipelined **binary protocol**
 //! (little-endian, length-prefixed; `len` counts the bytes after the
 //! length field):
 //!
@@ -112,7 +116,6 @@ pub mod cache;
 pub mod classifier;
 pub mod engine;
 pub mod poll;
-pub mod tcp;
 
 pub use admission::AdmissionControl;
 pub use cache::{ActivationCache, CacheStats};

@@ -1,5 +1,6 @@
 //! Event-driven TCP front-end: one thread sweeping N nonblocking
-//! connections, replacing the thread-per-connection model of [`crate::tcp`].
+//! connections (`std::net` only — the workspace has no async runtime
+//! dependency).
 //!
 //! The workspace is `std`-only (no epoll/kqueue binding to link), so
 //! readiness is discovered by a **sweep poller**: every connection is
@@ -19,17 +20,23 @@
 //! **in request order** → write. Clients may pipeline arbitrarily many
 //! requests up to `max_pipeline`.
 //!
-//! Connection hygiene (the PR-6 leak fix, shared with [`crate::tcp`]):
-//! connections idle longer than `idle_timeout` with nothing in flight
-//! are evicted; `max_conns` bounds acceptance (excess connections get
-//! one `overloaded` reply and close); EOF mid-line or mid-frame just
-//! drops the connection after flushing pending replies — state lives in
-//! the `Conn` struct, not in a blocked reader thread, so there is no
+//! Connection hygiene: connections idle longer than `idle_timeout` with
+//! nothing in flight are evicted; `max_conns` bounds acceptance (excess
+//! connections get one `overloaded` reply and close); on EOF the
+//! complete requests already received are answered, then the connection
+//! closes — a final line without a newline (or a partial frame) is
+//! dropped, not answered. State lives
+//! in the `Conn` struct, not in a blocked reader thread, so there is no
 //! thread to leak. Shutdown joins the single loop thread.
+//!
+//! The loop outlives transient `accept` failures (descriptor or kernel
+//! memory exhaustion, aborted handshakes): it counts them in
+//! [`FrontendStats::accept_errors`], logs one stderr line per burst and
+//! parks like an idle sweep until the condition clears. Only a
+//! non-transient listener error ends it, after logging.
 
 use crate::classifier::BatchClassify;
 use crate::engine::{BatchEngine, ResponseHandle, ServeError, TrySubmitError};
-use crate::tcp::{format_prediction, parse_request};
 use crate::Prediction;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -41,8 +48,9 @@ use std::time::{Duration, Instant};
 /// Which framing a [`EventFrontend`] speaks (see the crate docs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Protocol {
-    /// Newline-delimited text (interoperates with `nc`/telnet and the
-    /// original [`crate::tcp`] front-end).
+    /// Newline-delimited text (see the crate docs and [`parse_request`]);
+    /// stays beside the binary protocol because it is the one a shell
+    /// can drive (`nc`, bash's `/dev/tcp`).
     #[default]
     Line,
     /// Length-prefixed binary frames with client request ids.
@@ -107,6 +115,28 @@ pub struct FrontendStats {
     pub requests: AtomicU64,
     pub replies: AtomicU64,
     pub protocol_errors: AtomicU64,
+    /// Transient `accept` failures the loop backed off from.
+    pub accept_errors: AtomicU64,
+}
+
+/// Parse a line-protocol request into node ids (separated by spaces,
+/// commas and/or tabs).
+pub fn parse_request(line: &str) -> Result<Vec<u32>, String> {
+    let ids: Result<Vec<u32>, _> = line
+        .split([' ', ',', '\t'])
+        .filter(|t| !t.is_empty())
+        .map(|t| t.parse::<u32>().map_err(|_| format!("bad node id {t:?}")))
+        .collect();
+    let ids = ids?;
+    if ids.is_empty() {
+        return Err("empty request".into());
+    }
+    Ok(ids)
+}
+
+/// Format one prediction as the line-protocol triple `node:labels:prob`.
+pub(crate) fn format_prediction(p: &Prediction) -> String {
+    format!("{}:{}:{:.4}", p.node, p.labels_display(), p.max_prob())
 }
 
 /// Binary protocol framing (see the crate docs for the layout).
@@ -309,7 +339,11 @@ struct Conn {
     /// is preserved and the socket backpressures.
     deferred: Option<(u64, Vec<u32>)>,
     last_activity: Instant,
-    /// Peer closed its read side (or asked to quit): flush, then drop.
+    /// Peer half-closed: serve the complete requests already buffered,
+    /// then close.
+    eof: bool,
+    /// Nothing more will be parsed (peer quit, or EOF with no complete
+    /// request left): flush, then drop.
     closing: bool,
     /// Unrecoverable I/O or protocol error: drop without flushing.
     dead: bool,
@@ -325,6 +359,7 @@ impl Conn {
             pending: VecDeque::new(),
             deferred: None,
             last_activity: Instant::now(),
+            eof: false,
             closing: false,
             dead: false,
         }
@@ -427,6 +462,8 @@ fn sweep_loop<C: BatchClassify>(
     let mut conns: Vec<Conn> = Vec::new();
     let mut park = PARK_MIN;
     let mut read_chunk = [0u8; 4096];
+    // Inside a burst of transient accept failures (logged once).
+    let mut accept_failing = false;
     while !stop.load(Ordering::Acquire) {
         let mut progress = false;
 
@@ -435,9 +472,12 @@ fn sweep_loop<C: BatchClassify>(
             match listener.accept() {
                 Ok((stream, _)) => {
                     progress = true;
+                    accept_failing = false;
                     if conns.len() >= cfg.max_conns {
-                        refuse(stream, cfg.protocol);
+                        // Count before the reply: a refused client may
+                        // read it and check the counter at once.
                         stats.refused.fetch_add(1, Ordering::Relaxed);
+                        refuse(stream, cfg.protocol);
                         continue;
                     }
                     if stream.set_nonblocking(true).is_err() {
@@ -447,8 +487,23 @@ fn sweep_loop<C: BatchClassify>(
                     conns.push(Conn::new(stream));
                     stats.accepted.fetch_add(1, Ordering::Relaxed);
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(_) => return, // listener gone: shut the front-end down
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    accept_failing = false;
+                    break;
+                }
+                Err(e) if accept_error_is_transient(&e) => {
+                    stats.accept_errors.fetch_add(1, Ordering::Relaxed);
+                    if !accept_failing {
+                        eprintln!("gsgcn-serve: accept failed ({e}); backing off until it clears");
+                        accept_failing = true;
+                    }
+                    // No progress: the sweep parks with the idle backoff.
+                    break;
+                }
+                Err(e) => {
+                    eprintln!("gsgcn-serve: accept failed ({e}); front-end stopping");
+                    return;
+                }
             }
         }
 
@@ -481,6 +536,24 @@ fn sweep_loop<C: BatchClassify>(
     }
 }
 
+/// `accept` failures that leave the listener usable: the process
+/// (EMFILE) or system (ENFILE) ran out of descriptors, the kernel is
+/// short of buffers or memory, or a handshake was aborted or a signal
+/// interrupted the call.
+fn accept_error_is_transient(e: &std::io::Error) -> bool {
+    const ENOMEM: i32 = 12;
+    const ENFILE: i32 = 23;
+    const EMFILE: i32 = 24;
+    #[cfg(target_os = "linux")]
+    const ENOBUFS: i32 = 105;
+    #[cfg(not(target_os = "linux"))]
+    const ENOBUFS: i32 = 55;
+    matches!(
+        e.kind(),
+        ErrorKind::Interrupted | ErrorKind::ConnectionAborted
+    ) || matches!(e.raw_os_error(), Some(ENOMEM | ENFILE | EMFILE | ENOBUFS))
+}
+
 /// One sweep step of one connection; returns whether anything moved.
 fn step_conn<C: BatchClassify>(
     conn: &mut Conn,
@@ -495,7 +568,7 @@ fn step_conn<C: BatchClassify>(
     let mut progress = false;
 
     // --- Read phase (bounded per sweep for fairness) ---
-    if !conn.closing {
+    if !conn.closing && !conn.eof {
         for _ in 0..8 {
             if conn.rbuf.len() >= MAX_RBUF {
                 protocol_error(conn, cfg.protocol, "input buffer overflow", stats);
@@ -503,7 +576,7 @@ fn step_conn<C: BatchClassify>(
             }
             match conn.stream.read(chunk) {
                 Ok(0) => {
-                    conn.closing = true;
+                    conn.eof = true;
                     break;
                 }
                 Ok(n) => {
@@ -595,6 +668,8 @@ fn parse_input<C: BatchClassify>(
         match cfg.protocol {
             Protocol::Line => {
                 let Some(nl) = conn.rbuf[consumed..].iter().position(|&b| b == b'\n') else {
+                    // At EOF the rest is an unterminated final line: drop it.
+                    conn.closing |= conn.eof;
                     break;
                 };
                 let line = &conn.rbuf[consumed..consumed + nl];
@@ -620,7 +695,10 @@ fn parse_input<C: BatchClassify>(
                 }
             }
             Protocol::Binary => match wire::try_decode_request(&conn.rbuf[consumed..]) {
-                Ok(None) => break,
+                Ok(None) => {
+                    conn.closing |= conn.eof;
+                    break;
+                }
                 Ok(Some((used, id, nodes))) => {
                     consumed += used;
                     progress = true;
@@ -733,6 +811,29 @@ mod tests {
         assert_eq!("line".parse::<Protocol>().unwrap(), Protocol::Line);
         assert_eq!("binary".parse::<Protocol>().unwrap(), Protocol::Binary);
         assert!("http".parse::<Protocol>().is_err());
+    }
+
+    #[test]
+    fn parse_accepts_mixed_separators() {
+        assert_eq!(parse_request("1 2,3\t4").unwrap(), vec![1, 2, 3, 4]);
+        assert!(parse_request("1 x").is_err());
+        assert!(parse_request("   ").is_err());
+    }
+
+    #[test]
+    fn prediction_wire_format() {
+        let p = Prediction {
+            node: 9,
+            labels: vec![2, 5],
+            probs: vec![0.1, 0.2, 0.7],
+        };
+        assert_eq!(format_prediction(&p), "9:2,5:0.7000");
+        let none = Prediction {
+            node: 1,
+            labels: vec![],
+            probs: vec![0.3],
+        };
+        assert_eq!(format_prediction(&none), "1:-:0.3000");
     }
 
     #[test]

@@ -1,13 +1,10 @@
 //! Front-end integration tests: the event-driven poller (line + binary
-//! protocols, pipelining, idle eviction, max-conns) and the fixed
-//! thread-per-connection front-end (EOF-mid-line, idle eviction,
-//! shutdown joins — the PR-6 leak fix).
+//! protocols, pipelining, idle eviction, max-conns, EOF mid-line).
 
 use gsgcn_graph::GraphBuilder;
 use gsgcn_nn::model::{GcnConfig, GcnModel, LossKind};
 use gsgcn_serve::classifier::BatchClassify;
 use gsgcn_serve::poll::{wire, EventFrontend, FrontendConfig, Protocol};
-use gsgcn_serve::tcp::{TcpConfig, TcpFrontend};
 use gsgcn_serve::{
     AdmissionControl, BatchEngine, ClassifyWorkspace, EngineConfig, NodeClassifier, Prediction,
 };
@@ -285,78 +282,35 @@ fn poll_shed_overload_replies_overloaded() {
     fe.shutdown();
 }
 
+/// EOF mid-line: the client writes one complete request and one without
+/// its newline, then closes its write half. The front-end answers the
+/// complete request, drops the unterminated line and closes (state lives
+/// in the `Conn`, so nothing parks waiting for a newline), and keeps
+/// serving other clients.
 #[test]
-fn tcp_serves_final_partial_line_on_eof() {
+fn poll_closes_on_eof_mid_line() {
     let eng = engine(classifier());
-    let fe = TcpFrontend::spawn(eng, "127.0.0.1:0", TcpConfig::default()).unwrap();
-
-    let stream = TcpStream::connect(fe.local_addr()).unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
-    // EOF mid-line: no trailing newline, then close the write half. The
-    // old front-end parked its handler thread forever here.
-    writer.write_all(b"0 5").unwrap();
-    writer.shutdown(std::net::Shutdown::Write).unwrap();
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    assert!(line.starts_with("ok 0:"), "{line}");
-    line.clear();
-    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "should close");
-    // Shutdown joining proves the handler thread exited (a leaked
-    // parked thread would hang the join and time the test out).
-    fe.shutdown();
-}
-
-#[test]
-fn tcp_evicts_idle_connections_and_joins() {
-    let eng = engine(classifier());
-    let cfg = TcpConfig {
-        idle_timeout: Duration::from_millis(150),
-        ..TcpConfig::default()
-    };
-    let fe = TcpFrontend::spawn(eng, "127.0.0.1:0", cfg).unwrap();
+    let fe = EventFrontend::spawn(eng, "127.0.0.1:0", FrontendConfig::default()).unwrap();
 
     let stream = TcpStream::connect(fe.local_addr()).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
+    let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
+    writer.write_all(b"1\n0 5").unwrap();
+    writer.shutdown(std::net::Shutdown::Write).unwrap();
     let mut line = String::new();
-    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "not evicted");
-    assert_eq!(fe.evicted_idle(), 1);
-    let t0 = Instant::now();
-    while fe.live_conns() > 0 {
-        assert!(t0.elapsed() < Duration::from_secs(5), "gauge never dropped");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    fe.shutdown();
-}
-
-#[test]
-fn tcp_refuses_connections_past_max_conns() {
-    let eng = engine(classifier());
-    let cfg = TcpConfig {
-        max_conns: 1,
-        ..TcpConfig::default()
-    };
-    let fe = TcpFrontend::spawn(eng, "127.0.0.1:0", cfg).unwrap();
-
-    let keeper = TcpStream::connect(fe.local_addr()).unwrap();
-    let mut kw = keeper.try_clone().unwrap();
-    let mut kr = BufReader::new(keeper);
-    let mut line = String::new();
-    kw.write_all(b"1\n").unwrap();
-    kr.read_line(&mut line).unwrap();
-    assert!(line.starts_with("ok "), "{line}");
-
-    let extra = TcpStream::connect(fe.local_addr()).unwrap();
-    extra
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
-    let mut er = BufReader::new(extra);
+    reader.read_line(&mut line).unwrap();
+    assert!(line.starts_with("ok 1:"), "{line}");
     line.clear();
-    er.read_line(&mut line).unwrap();
-    assert_eq!(line.trim(), "overloaded", "{line}");
-    assert!(fe.refused() >= 1);
+    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "should close");
+
+    let other = TcpStream::connect(fe.local_addr()).unwrap();
+    let mut ow = other.try_clone().unwrap();
+    let mut or = BufReader::new(other);
+    ow.write_all(b"0 5\n").unwrap();
+    or.read_line(&mut line).unwrap();
+    assert!(line.starts_with("ok 0:"), "{line}");
     fe.shutdown();
 }

@@ -126,7 +126,17 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        // Set the flag under the queue lock: a worker that checked it
+        // and is about to `wait` holds the lock, so the store (and the
+        // notify after it) cannot fall between its check and its wait.
+        {
+            let _queue = self
+                .shared
+                .queue
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         self.shared.available.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();

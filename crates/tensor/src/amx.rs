@@ -5,9 +5,8 @@
 //! tile (VNNI pair layout) into a 16×16 f32 accumulator tile — 8192 MACs
 //! per instruction, an order of magnitude past the AVX-512 FMA peak and
 //! the only unit on these parts where bf16 storage buys *compute*
-//! throughput rather than just bandwidth (`vdpbf16ps` issues on a single
-//! port, so its 2-per-issue dot product only matches the two-port f32 FMA
-//! peak).
+//! throughput rather than just bandwidth (the widen kernels run bf16 at
+//! the f32 FMA peak).
 //!
 //! The stable toolchain has no AMX intrinsics, so the tile configuration
 //! and the microkernel are inline assembly (the mnemonics are plain
@@ -27,8 +26,8 @@
 //! `C += A·B` from a row-major bf16 A block and VNNI pair-interleaved
 //! bf16 B panels, accumulating entirely in tile registers across the
 //! whole `kc` depth. `tdpbf16ps` sums each 32-product group in its own
-//! order, so results are tolerance-banded against the widen kernels —
-//! the same contract as the `vdpbf16ps` kernel (`bf16_dot_native`).
+//! order, so results are tolerance-banded against the widen kernels
+//! (`bf16_dot_native`).
 
 /// Rows of C per tile-kernel call (two 16-row tiles).
 pub const TILE_M: usize = 32;

@@ -92,15 +92,10 @@
 //! result differs from the f32 path only by the per-element input
 //! rounding (≤ 2⁻⁸ relative); equivalence tests are therefore
 //! tolerance-banded via [`crate::precision::rel_tolerance`], while the
-//! f32 path itself stays bit-identical. On CPUs with AVX512-BF16 the
-//! avx512 row swaps its widen kernel for a native `vdpbf16ps`
-//! dot-product over pair-interleaved panels (two k-steps per FMA-port
-//! issue — see [`crate::ukernel`]'s native-dot section and
-//! [`bf16_dot_native`]); its pairwise accumulation stays inside the same
-//! tolerance bands. When the **AMX tile unit** is present
-//! ([`crate::amx`]), the bf16 driver escalates past the vector kernels
-//! altogether: A packs **row-major** (what `tileloadd` strides over,
-//! via [`PackSourceBf16::pack_a_bf16_rowmajor`]) and B packs 16-column
+//! f32 path itself stays bit-identical. When the **AMX tile unit** is
+//! present ([`crate::amx`]), the bf16 driver escalates past the vector
+//! kernels altogether: A packs **row-major** (what `tileloadd` strides
+//! over, via [`PackSourceBf16::pack_a_bf16_rowmajor`]) and B packs 16-column
 //! VNNI panels, and each `tdpbf16ps` call covers a 32×32×32 brick —
 //! measured ~5× over the f32 GEMM on the GCN layer shape, where the
 //! widen kernels only break even. [`bf16_engine`] reports the path;
@@ -643,51 +638,20 @@ fn driver_bf16<S: PackSourceBf16 + ?Sized>(
     let nr = kern.nr;
 
     let ic_blocks = m.div_ceil(MC);
-    // A paired (native-dot) kernel reads pair-interleaved panels of
-    // `next_even(kc)` rows; panels are packed in the standard layout and
-    // interleaved once per pack, amortised over every tile re-read.
-    let kc_rows = |kc: usize| kern.bf16_panel_rows(kc);
     for jc in (0..n).step_by(kern.nc) {
         let nc = kern.nc.min(n - jc);
         let b_panels = nc.div_ceil(nr);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            scratch::with_buf_u16(b_panels * kc_rows(kc) * nr, |b_bits| {
-                if kern.bf16_paired() {
-                    scratch::with_buf_u16(b_panels * kc * nr, |lin| {
-                        pack_b_bf16(b, pc, kc, jc, nc, nr, bf16::from_bits_slice_mut(lin));
-                        ukernel::pair_interleave_bf16_panels(lin, b_bits, kc, nr, kc_rows(kc));
-                    });
-                } else {
-                    pack_b_bf16(b, pc, kc, jc, nc, nr, bf16::from_bits_slice_mut(b_bits));
-                }
+            scratch::with_buf_u16(b_panels * kc * nr, |b_bits| {
+                pack_b_bf16(b, pc, kc, jc, nc, nr, bf16::from_bits_slice_mut(b_bits));
                 let b_pack = bf16::from_bits_slice(b_bits);
                 (0..ic_blocks).into_par_iter().for_each(|blk| {
                     let ic = blk * MC;
                     let mc = MC.min(m - ic);
                     let a_panels = mc.div_ceil(MR);
-                    scratch::with_buf_u16(a_panels * kc_rows(kc) * MR, |a_bits| {
-                        if kern.bf16_paired() {
-                            scratch::with_buf_u16(a_panels * kc * MR, |lin| {
-                                a.pack_a_bf16(
-                                    alpha,
-                                    ic,
-                                    mc,
-                                    pc,
-                                    kc,
-                                    bf16::from_bits_slice_mut(lin),
-                                );
-                                ukernel::pair_interleave_bf16_panels(
-                                    lin,
-                                    a_bits,
-                                    kc,
-                                    MR,
-                                    kc_rows(kc),
-                                );
-                            });
-                        } else {
-                            a.pack_a_bf16(alpha, ic, mc, pc, kc, bf16::from_bits_slice_mut(a_bits));
-                        }
+                    scratch::with_buf_u16(a_panels * kc * MR, |a_bits| {
+                        a.pack_a_bf16(alpha, ic, mc, pc, kc, bf16::from_bits_slice_mut(a_bits));
                         let a_pack = bf16::from_bits_slice(a_bits);
                         multiply_block_bf16(kern, a_pack, b_pack, c_base, ic, mc, jc, nc, kc);
                     });
@@ -882,9 +846,7 @@ fn multiply_block(
 }
 
 /// [`multiply_block`] over bf16 panels: identical tiling and store loop,
-/// but the tier's bf16 microkernel widens panel elements in registers
-/// (or consumes pair-interleaved panels when the kernel is the native
-/// dot-product — panel strides follow [`Kernel::bf16_panel_rows`]).
+/// but the tier's bf16 microkernel widens panel elements in registers.
 #[allow(clippy::too_many_arguments)]
 fn multiply_block_bf16(
     kern: &Kernel,
@@ -898,13 +860,12 @@ fn multiply_block_bf16(
     kc: usize,
 ) {
     let nr = kern.nr;
-    let rows = kern.bf16_panel_rows(kc);
     let mut acc = AccTile([0.0f32; MR * NR_MAX]);
     let acc = &mut acc.0[..MR * nr];
-    for (jp, b_panel) in b_pack.chunks_exact(rows * nr).enumerate() {
+    for (jp, b_panel) in b_pack.chunks_exact(kc * nr).enumerate() {
         let jr = jp * nr;
         let tile_cols = nr.min(nc - jr);
-        for (ip, a_panel) in a_pack.chunks_exact(rows * MR).enumerate() {
+        for (ip, a_panel) in a_pack.chunks_exact(kc * MR).enumerate() {
             let ir = ip * MR;
             let tile_rows = MR.min(mc - ir);
             kern.run_bf16(
@@ -1066,10 +1027,12 @@ fn scale_c(c: &mut MatMut<'_>, beta: f32) {
 }
 
 // ---------------------------------------------------------------------------
-// Reference and baseline kernels
+// Reference kernel
 // ---------------------------------------------------------------------------
 
-/// Naive triple-loop reference, used by tests and benches as ground truth.
+/// Naive triple-loop reference with f64 accumulation, used by tests and
+/// benches as ground truth. Kept as the oracle every packed path is
+/// checked against.
 pub fn matmul_reference(a: &DMatrix, b: &DMatrix) -> DMatrix {
     let (m, k) = a.shape();
     let (kb, n) = b.shape();
@@ -1084,50 +1047,6 @@ pub fn matmul_reference(a: &DMatrix, b: &DMatrix) -> DMatrix {
             c.set(i, j, acc as f32);
         }
     }
-    c
-}
-
-/// The seed's unpacked k-blocked kernel (including its inner-loop
-/// `aik == 0.0` skip), retained verbatim as the benchmark baseline the
-/// packed kernel is measured against. Not used by training.
-pub fn matmul_unpacked(a: &DMatrix, b: &DMatrix) -> DMatrix {
-    let (m, k) = a.shape();
-    let (kb, n) = b.shape();
-    assert_eq!(k, kb, "inner dimensions must match");
-    let mut c = DMatrix::zeros(m, n);
-    if m == 0 || n == 0 || k == 0 {
-        return c;
-    }
-    let a_data = a.data();
-    let b_data = b.data();
-    // Minimum per-task work matching the seed's PAR_GRAIN.
-    let rows_per_task = ((1usize << 14) / (n * k).max(1)).clamp(1, m);
-    c.data_mut()
-        .par_chunks_mut(rows_per_task * n)
-        .enumerate()
-        .for_each(|(t, c_block)| {
-            let i0 = t * rows_per_task;
-            let rows_here = c_block.len() / n;
-            let mut k0 = 0;
-            while k0 < k {
-                let k1 = (k0 + KC).min(k);
-                for li in 0..rows_here {
-                    let a_row = &a_data[(i0 + li) * k..(i0 + li + 1) * k];
-                    let c_row = &mut c_block[li * n..(li + 1) * n];
-                    for kk in k0..k1 {
-                        let aik = a_row[kk];
-                        if aik == 0.0 {
-                            continue;
-                        }
-                        let b_row = &b_data[kk * n..(kk + 1) * n];
-                        for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                            *cv = bv.mul_add(aik, *cv);
-                        }
-                    }
-                }
-                k0 = k1;
-            }
-        });
     c
 }
 
@@ -1263,15 +1182,6 @@ mod tests {
         let c = matmul(&a, &b);
         let r = matmul_reference(&a, &b);
         assert!(c.max_abs_diff(&r) < 5e-3);
-    }
-
-    #[test]
-    fn packed_matches_unpacked_seed_kernel() {
-        let a = seq(65, 70, 0.9);
-        let b = seq(70, 40, 1.2);
-        let packed = matmul(&a, &b);
-        let unpacked = matmul_unpacked(&a, &b);
-        assert!(packed.max_abs_diff(&unpacked) < 1e-4);
     }
 
     #[test]
@@ -1454,12 +1364,11 @@ mod tests {
     fn bf16_tiers_are_bit_identical() {
         // The widen-based bf16 microkernels run the same FMA chain per C
         // element as each other, so tier choice must not change bf16
-        // results at all (mirrors `tiers_are_bit_identical`). A tier
-        // whose bf16 kernel is the native `vdpbf16ps` dot-product sums
-        // each k pair before joining the chain, so it is banded against
-        // the widen result instead of bit-compared — the deviation is
-        // pure f32 accumulation-order noise, orders of magnitude below
-        // the bf16 input rounding.
+        // results at all (mirrors `tiers_are_bit_identical`). Every
+        // vector bf16 kernel widens, so bands apply only under AMX: the
+        // avx512 tier then runs the tile unit, which sums each 32-deep
+        // group before joining the chain — pure f32 accumulation-order
+        // noise, orders of magnitude below the bf16 input rounding.
         let a = seq(70, 260, 0.9);
         let b = seq(260, 50, 1.1);
         let qa = quantize_mat(&a);
@@ -1483,7 +1392,7 @@ mod tests {
             if bf16_dot_native(tier) {
                 assert!(
                     got.max_abs_diff(&reference) <= 1e-5 * scale.max(1.0),
-                    "native-dot tier {} outside accumulation band",
+                    "AMX tier {} outside accumulation band",
                     tier.name()
                 );
             } else {

@@ -61,30 +61,15 @@
 //! tolerance-banded rather than bit-identical (see `gemm.rs`).
 //! Within one precision, the widen-based tiers agree bit-for-bit.
 //!
-//! ## Native bf16 dot-product (AVX512-BF16)
+//! ## AMX
 //!
-//! On CPUs with `avx512bf16` (+`avx512bw`), the avx512 row's bf16 entry
-//! upgrades to a `vdpbf16ps` kernel: each instruction multiplies 32 bf16
-//! pairs and accumulates 16 f32 lanes — **two** k-steps per FMA-port
-//! issue, doubling the peak MAC rate over the widen kernels. It consumes
-//! **pair-interleaved** panels ([`Kernel::bf16_paired`]): consecutive
-//! k-rows are merged so element pairs `(kk, kk+1)` sit adjacently, and an
-//! odd `kc` tail is padded with a zero row (a zero pair contributes
-//! nothing). The GEMM driver performs that interleave once per packed
-//! panel ([`pair_interleave_bf16_panels`]), amortised across every tile
-//! that re-reads the panel. `vdpbf16ps` sums each pair before joining the
-//! f32 chain (and flushes denormals), so this kernel is tolerance-banded
-//! against the widen tiers rather than bit-identical — well inside the
-//! bf16 storage-rounding band the precision tests already allow.
-//!
-//! In practice `vdpbf16ps` only *matches* the f32 peak on current parts
-//! (it issues on one port; the f32 FMA on two), so above it the GEMM
-//! driver escalates once more: when the **AMX** tile unit is present
-//! ([`crate::amx`]), the bf16 driver bypasses the vector kernels
-//! entirely for a `tdpbf16ps` tile schedule — that is where bf16
-//! storage buys real compute throughput (measured ~5× over the f32
-//! path on the GCN layer shape). [`bf16_engine`] reports which path a
-//! tier takes; `GSGCN_AMX=0` forces the vector kernels.
+//! Above the vector kernels the GEMM driver escalates once more: when
+//! the **AMX** tile unit is present ([`crate::amx`]), the bf16 driver
+//! bypasses the vector kernels entirely for a `tdpbf16ps` tile schedule
+//! — that is where bf16 storage buys real compute throughput (measured
+//! ~5× over the f32 path on the GCN layer shape). [`bf16_engine`]
+//! reports which path a tier takes; `GSGCN_AMX=0` forces the vector
+//! kernels.
 
 use std::cell::Cell;
 use std::sync::OnceLock;
@@ -119,9 +104,11 @@ const A_PF_DIST: usize = 8;
 pub enum Tier {
     /// Portable fallback: fixed-lane virtual vectors that LLVM collapses
     /// to whatever SIMD the target has. Correct everywhere; fast only when
-    /// the autovectoriser cooperates.
+    /// the autovectoriser cooperates. Kept as the only path on CPUs
+    /// without AVX2.
     Scalar,
-    /// Explicit AVX2+FMA kernel (`ymm`, 8 f32 lanes).
+    /// Explicit AVX2+FMA kernel (`ymm`, 8 f32 lanes). Kept as the only
+    /// explicit path on CPUs without AVX-512.
     Avx2,
     /// Explicit AVX-512F kernel (`zmm`, 16 f32 lanes).
     Avx512,
@@ -198,9 +185,6 @@ pub struct Kernel {
     pub nc: usize,
     ukr: MicroKernelFn,
     ukr_bf16: MicroKernelBf16Fn,
-    /// Whether `ukr_bf16` consumes pair-interleaved panels (the native
-    /// `vdpbf16ps` kernel; see the module docs' native-dot section).
-    paired_bf16: bool,
 }
 
 impl Kernel {
@@ -218,46 +202,26 @@ impl Kernel {
     }
 
     /// Run the bf16-panel microkernel (f32 accumulate): same contract as
-    /// [`Kernel::run`] with `u16` bf16 bit-pattern panels. A paired
-    /// kernel ([`Kernel::bf16_paired`]) reads pair-interleaved panels of
-    /// [`Kernel::bf16_panel_rows`] rows instead of the linear `kc`.
+    /// [`Kernel::run`] with `u16` bf16 bit-pattern panels.
     #[inline]
     pub(crate) fn run_bf16(&self, kc: usize, a_panel: &[u16], b_panel: &[u16], acc: &mut [f32]) {
-        let rows = self.bf16_panel_rows(kc);
-        assert_eq!(a_panel.len(), rows * MR);
-        assert_eq!(b_panel.len(), rows * self.nr);
+        assert_eq!(a_panel.len(), kc * MR);
+        assert_eq!(b_panel.len(), kc * self.nr);
         assert!(acc.len() >= MR * self.nr);
         // SAFETY: as in `run` — bounds checked, ISA availability
         // guaranteed by the dispatch table.
         unsafe { (self.ukr_bf16)(kc, a_panel.as_ptr(), b_panel.as_ptr(), acc.as_mut_ptr()) }
     }
-
-    /// Whether the bf16 microkernel consumes pair-interleaved panels
-    /// (prepared with [`pair_interleave_bf16_panels`]).
-    pub(crate) fn bf16_paired(&self) -> bool {
-        self.paired_bf16
-    }
-
-    /// Panel rows the bf16 microkernel reads for a logical depth `kc`:
-    /// `kc` for the widen kernels, `kc` rounded up to even (zero-padded
-    /// tail row) for the paired native-dot kernel.
-    pub(crate) fn bf16_panel_rows(&self, kc: usize) -> usize {
-        if self.paired_bf16 {
-            kc.next_multiple_of(2)
-        } else {
-            kc
-        }
-    }
 }
 
-/// Pair-interleave bf16 panels for the native-dot kernels: `src` holds
-/// panels of `kc` rows × `w` interleaved elements (the standard pack
-/// layout, `w` = [`MR`] for A panels or the tier `nr` for B panels);
-/// `dst` receives the same panels with consecutive row pairs merged —
+/// Pair-interleave bf16 panels into the VNNI layout the AMX driver
+/// feeds `tdpbf16ps` its B panels in: `src` holds panels of `kc` rows ×
+/// `w` interleaved elements (the standard pack layout); `dst` receives
+/// the same panels with consecutive row pairs merged —
 /// `dst[t·2w + 2j + s] = src[(2t+s)·w + j]` — zero-padded to `rows`
-/// logical rows (`rows` is the kernel's padded depth: `next_even(kc)`
-/// for `vdpbf16ps`, a multiple of the tile depth for AMX; `rows ≥ kc`
-/// and even). `dst` must hold `panels · rows · w` elements.
+/// logical rows (a multiple of the tile depth; `rows ≥ kc` and even).
+/// `dst` must hold `panels · rows · w` elements.
+#[cfg(target_arch = "x86_64")]
 pub(crate) fn pair_interleave_bf16_panels(
     src: &[u16],
     dst: &mut [u16],
@@ -292,16 +256,15 @@ pub(crate) fn pair_interleave_bf16_panels(
 }
 
 /// Whether `tier` runs bf16 panels through native dot-product hardware
-/// on this CPU — the `vdpbf16ps` vector kernel or, above it, the AMX
-/// tile unit (`tdpbf16ps`). Native paths accumulate each input pair (or
-/// 32-deep tile group) before joining the f32 chain, so their results
-/// are tolerance-banded against the widen kernels rather than
-/// bit-identical. Attribution for probes, banners, bench records and
-/// test bands.
+/// on this CPU — the AMX tile unit (`tdpbf16ps`, engaged above the
+/// avx512 tier). The tile unit accumulates each 32-deep tile group
+/// before joining the f32 chain, so its results are tolerance-banded
+/// against the widen kernels rather than bit-identical. Attribution for
+/// probes, banners, bench records and test bands.
 pub fn bf16_dot_native(tier: Tier) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        tier == Tier::Avx512 && (vdpbf16_available() || crate::amx::bf16_ready())
+        tier == Tier::Avx512 && crate::amx::bf16_ready()
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -310,31 +273,15 @@ pub fn bf16_dot_native(tier: Tier) -> bool {
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-fn vdpbf16_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx512f")
-        && std::arch::is_x86_feature_detected!("avx512bw")
-        && std::arch::is_x86_feature_detected!("avx512bf16")
-}
-
 /// Short name of the hardware path `tier`'s bf16 kernel takes on this
-/// CPU: the AMX tile unit (`tdpbf16ps`, engaged above the avx512 tier),
-/// the `vdpbf16ps` vector dot product, or register widening over the
-/// f32 FMA pipe. For probes, banners and bench attributions.
+/// CPU: the AMX tile unit (`amx`) or register widening over the f32 FMA
+/// pipe (`widen`). For probes, banners and bench attributions.
 pub fn bf16_engine(tier: Tier) -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if tier == Tier::Avx512 {
-            if crate::amx::bf16_ready() {
-                return "amx";
-            }
-            if vdpbf16_available() {
-                return "vdpbf16ps";
-            }
-        }
+    if bf16_dot_native(tier) {
+        "amx"
+    } else {
+        "widen"
     }
-    let _ = tier;
-    "widen"
 }
 
 static SCALAR_KERNEL: Kernel = Kernel {
@@ -343,7 +290,6 @@ static SCALAR_KERNEL: Kernel = Kernel {
     nc: 1024,
     ukr: ukr_scalar,
     ukr_bf16: ukr_scalar_bf16,
-    paired_bf16: false,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -353,7 +299,6 @@ static AVX2_KERNEL: Kernel = Kernel {
     nc: 1024,
     ukr: ukr_avx2,
     ukr_bf16: ukr_avx2_bf16,
-    paired_bf16: false,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -363,20 +308,6 @@ static AVX512_KERNEL: Kernel = Kernel {
     nc: 1008, // 21 × NR — keeps strips NR-aligned, ≈1 MiB packed B
     ukr: ukr_avx512,
     ukr_bf16: ukr_avx512_bf16,
-    paired_bf16: false,
-};
-
-/// The avx512 row with the native `vdpbf16ps` bf16 kernel — selected in
-/// place of [`AVX512_KERNEL`] when the CPU has AVX512-BF16. Same f32
-/// entry and blocking; only the bf16 path differs.
-#[cfg(target_arch = "x86_64")]
-static AVX512_BFDOT_KERNEL: Kernel = Kernel {
-    tier: Tier::Avx512,
-    nr: NR_AVX512,
-    nc: 1008,
-    ukr: ukr_avx512,
-    ukr_bf16: ukr_avx512_bfdot,
-    paired_bf16: true,
 };
 
 /// The dispatch table row for `tier`.
@@ -396,13 +327,7 @@ pub(crate) fn kernel_for(tier: Tier) -> &'static Kernel {
         #[cfg(target_arch = "x86_64")]
         Tier::Avx2 => &AVX2_KERNEL,
         #[cfg(target_arch = "x86_64")]
-        Tier::Avx512 => {
-            if bf16_dot_native(Tier::Avx512) {
-                &AVX512_BFDOT_KERNEL
-            } else {
-                &AVX512_KERNEL
-            }
-        }
+        Tier::Avx512 => &AVX512_KERNEL,
         #[cfg(not(target_arch = "x86_64"))]
         _ => unreachable!("non-scalar tier on non-x86_64"),
     }
@@ -774,6 +699,8 @@ unsafe fn ukr_avx512(kc: usize, a: *const f32, b: *const f32, acc: *mut f32) {
 /// 16 — and a scalar shift-widen on the A broadcast. 24 f32 `zmm`
 /// accumulators as in the f32 kernel; the extra 6 widen uops per `kk`
 /// ride the shift port while the 24 FMAs keep both FMA ports saturated.
+/// Kept as the only bf16 path on CPUs without AMX: it measured faster
+/// than a native AVX512-BF16 dot-product kernel, which was removed.
 ///
 /// # Safety
 /// Caller must ensure AVX-512F is available and the panel bounds of
@@ -801,49 +728,6 @@ unsafe fn ukr_avx512_bf16(kc: usize, a: *const u16, b: *const u16, acc: *mut f32
             cr[0] = _mm512_fmadd_ps(av, b0, cr[0]);
             cr[1] = _mm512_fmadd_ps(av, b1, cr[1]);
             cr[2] = _mm512_fmadd_ps(av, b2, cr[2]);
-        }
-    }
-    for (r, cr) in c.iter().enumerate() {
-        let out = acc.add(r * NR_AVX512);
-        _mm512_storeu_ps(out, cr[0]);
-        _mm512_storeu_ps(out.add(16), cr[1]);
-        _mm512_storeu_ps(out.add(32), cr[2]);
-    }
-}
-
-/// The AVX512-BF16 MR×48 tile kernel: `vdpbf16ps` over pair-interleaved
-/// panels ([`pair_interleave_bf16_panels`]). Per pair-step the 24 dot
-/// instructions retire **two** k-steps of the whole tile — half the
-/// FMA-port issues of the widen kernel — while the A pair broadcast is a
-/// single 32-bit memory broadcast (the pair sits adjacent in the panel)
-/// and the three B vectors are plain loads (the interleave happened at
-/// pack time). `vdpbf16ps` widens each bf16 operand exactly, so the pair
-/// products are exact in f32; only the pairwise add order differs from
-/// the widen kernels.
-///
-/// # Safety
-/// Caller must ensure AVX512F/BW/BF16 are available and the **paired**
-/// panel bounds of [`Kernel::run_bf16`] (`next_even(kc)` rows).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512bw,avx512bf16")]
-unsafe fn ukr_avx512_bfdot(kc: usize, a: *const u16, b: *const u16, acc: *mut f32) {
-    use std::arch::x86_64::*;
-    let npairs = kc.div_ceil(2);
-    let mut c: [[__m512; 3]; MR] = [[_mm512_setzero_ps(); 3]; MR];
-    for kk2 in 0..npairs {
-        // Pair rows are 2·MR u16 = 32 B; the same lookahead distance in
-        // pair rows covers the f32 kernel's byte horizon.
-        _mm_prefetch::<_MM_HINT_T0>(a.add((kk2 + A_PF_DIST) * 2 * MR) as *const i8);
-        let bp = b.add(kk2 * 2 * NR_AVX512);
-        let b0: __m512bh = std::mem::transmute(_mm512_loadu_si512(bp as *const __m512i));
-        let b1: __m512bh = std::mem::transmute(_mm512_loadu_si512(bp.add(32) as *const __m512i));
-        let b2: __m512bh = std::mem::transmute(_mm512_loadu_si512(bp.add(64) as *const __m512i));
-        let ap = (a as *const i32).add(kk2 * MR);
-        for (r, cr) in c.iter_mut().enumerate() {
-            let av: __m512bh = std::mem::transmute(_mm512_set1_epi32(ap.add(r).read_unaligned()));
-            cr[0] = _mm512_dpbf16_ps(cr[0], av, b0);
-            cr[1] = _mm512_dpbf16_ps(cr[1], av, b1);
-            cr[2] = _mm512_dpbf16_ps(cr[2], av, b2);
         }
     }
     for (r, cr) in c.iter().enumerate() {
@@ -898,9 +782,7 @@ mod tests {
 
     /// Every tier's bf16 kernel must agree with the reference product of
     /// the *widened* panels (widening is exact, so the only slack is f32
-    /// accumulation — for the native-dot kernel, pairwise f32
-    /// accumulation). Paired kernels get their panels pair-interleaved
-    /// the way the driver would.
+    /// accumulation).
     #[test]
     fn every_available_tier_bf16_tile_matches_reference() {
         use crate::bf16::Bf16;
@@ -914,16 +796,7 @@ mod tests {
                     .map(|i| Bf16::from_f32(((i % 19) as f32) * 0.125 - 1.0).0)
                     .collect();
                 let mut acc = vec![f32::NAN; MR * kern.nr];
-                if kern.bf16_paired() {
-                    let rows = kern.bf16_panel_rows(kc);
-                    let mut ap = vec![0u16; rows * MR];
-                    let mut bp = vec![0u16; rows * kern.nr];
-                    pair_interleave_bf16_panels(&a, &mut ap, kc, MR, rows);
-                    pair_interleave_bf16_panels(&b, &mut bp, kc, kern.nr, rows);
-                    kern.run_bf16(kc, &ap, &bp, &mut acc);
-                } else {
-                    kern.run_bf16(kc, &a, &b, &mut acc);
-                }
+                kern.run_bf16(kc, &a, &b, &mut acc);
                 let aw: Vec<f32> = a.iter().map(|&u| Bf16(u).to_f32()).collect();
                 let bw: Vec<f32> = b.iter().map(|&u| Bf16(u).to_f32()).collect();
                 let r = tile_reference(kc, kern.nr, &aw, &bw);
@@ -940,6 +813,7 @@ mod tests {
 
     /// The pair interleave places `(kk, kk+1)` element pairs adjacently
     /// per interleaved column and zero-pads an odd tail row.
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn pair_interleave_layout_and_padding() {
         let w = 4usize;
