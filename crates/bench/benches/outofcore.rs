@@ -157,15 +157,13 @@ fn median(samples: &[f64]) -> f64 {
 fn bench_variant(v: &Variant) -> Medians {
     let dir = ensure_spilled(v.order);
     let label = v.label;
-    // The bench matrix is single-threaded, so flipping the process-wide
-    // env between variants is race-free; `bench_outofcore` clears it.
-    std::env::set_var("GSGCN_SHARD_PREFETCH", if v.prefetch { "1" } else { "0" });
 
     // Open / materialization cost.
     let open_lat: Vec<f64> = (0..3)
         .map(|_| {
             let t0 = Instant::now();
-            let sd = StoreDataset::open_with(&dir, v.backend, CACHE_BUDGET).expect("open store");
+            let sd = StoreDataset::open_with(&dir, v.backend, CACHE_BUDGET, v.prefetch)
+                .expect("open store");
             std::hint::black_box(sd.num_vertices());
             t0.elapsed().as_secs_f64()
         })
@@ -173,7 +171,8 @@ fn bench_variant(v: &Variant) -> Medians {
     criterion::set_json_tags(variant_tags(v, &[]));
     criterion::record_latency_distribution(&format!("outofcore/open_{label}"), &open_lat, None);
 
-    let sd = StoreDataset::open_with(&dir, v.backend, CACHE_BUDGET).expect("open store");
+    let sd =
+        StoreDataset::open_with(&dir, v.backend, CACHE_BUDGET, v.prefetch).expect("open store");
     let full: &GraphStore = &sd.full;
     let n = full.num_vertices();
     let fdim = full.feature_dim();
@@ -339,7 +338,6 @@ fn bench_outofcore(c: &mut Criterion) {
     );
 
     criterion::set_json_tags([] as [(&str, &str); 0]);
-    std::env::remove_var("GSGCN_SHARD_PREFETCH");
     std::fs::remove_dir_all(shard_dir(StoreOrder::Natural)).ok();
     std::fs::remove_dir_all(shard_dir(StoreOrder::Bfs)).ok();
 }

@@ -37,8 +37,7 @@ fn measure(d: &Dataset, hidden: usize, cores: usize, epochs: usize) -> Meas {
         // GEMM under weight application (see `KernelTimings` — fused mode
         // folds it into the propagation bucket, skewing this breakdown).
         fused: false,
-        // Per-core scaling measures the synchronous algorithm; don't let
-        // GSGCN_SAMPLER_THREADS leak pipelined sampling into the baseline.
+        // Per-core scaling measures the synchronous algorithm.
         sampler_threads: 0,
         ..TrainerConfig::default()
     };

@@ -25,8 +25,7 @@ fn proposed_epoch_secs(d: &Dataset, layers: usize, cores: usize, epochs: usize) 
         eval_every: 0,
         threads: cores,
         p_inter: cores,
-        // Core-scaling table: keep sampling synchronous regardless of the
-        // GSGCN_SAMPLER_THREADS environment.
+        // Core-scaling table: keep sampling synchronous.
         sampler_threads: 0,
         ..TrainerConfig::default()
     };

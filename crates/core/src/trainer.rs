@@ -102,10 +102,9 @@ const EVAL_MAX_BALL_ROWS: usize = 32 * 1024;
 /// Trainer state: dataset view, model, sampler pool/pipeline, timers.
 pub struct GsGcnTrainer<'a> {
     source: EvalSource<'a>,
-    /// Store over the training-induced subgraph. On the resident path
-    /// this is built by [`GraphStore::from_parts_env`], so
-    /// `GSGCN_GRAPH_STORE=mmap` makes even `Dataset`-backed training
-    /// exercise the out-of-core read path.
+    /// Store over the training-induced subgraph: a zero-copy `mem`
+    /// store over the [`Dataset`]'s train view, or the
+    /// [`StoreDataset`]'s train store.
     train_store: Arc<GraphStore>,
     model: GcnModel,
     sampler: Arc<DashboardSampler>,
@@ -149,17 +148,13 @@ impl<'a> GsGcnTrainer<'a> {
         cfg.validate()?;
         dataset.validate()?;
 
-        // Build the training-view store. `from_parts_env` honours
-        // `GSGCN_GRAPH_STORE`: on `mem` it aliases the view's matrices
-        // (zero copy); on `mmap` it spills them to a temporary shard
-        // directory and training reads through the shard cache.
+        // The training-view store aliases the view's matrices (zero copy).
         let tv = dataset.train_view();
-        let train_store = GraphStore::from_parts_env(
+        let train_store = GraphStore::mem(
             Arc::clone(&tv.graph),
             Some(Arc::clone(&tv.features)),
             Some(Arc::clone(&tv.labels)),
-        )
-        .map_err(|e| format!("failed to build training graph store: {e}"))?;
+        );
         Self::build(EvalSource::Resident(dataset), Arc::new(train_store), cfg)
     }
 
@@ -731,14 +726,21 @@ mod tests {
 
     #[test]
     fn from_store_matches_resident_training() {
+        use gsgcn_data::StoreDataset;
+        use gsgcn_graph::store::DEFAULT_SHARD_CACHE_BYTES;
+        use gsgcn_graph::{StoreBackend, StoreOrder};
+
         let d = quick_dataset();
-        let dir = std::env::temp_dir().join(format!(
-            "gsgcn-trainer-store-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        d.spill_to_dir(&dir, 4).unwrap();
-        let sd = gsgcn_data::StoreDataset::open(&dir).unwrap();
+        let dir = |tag: &str| {
+            std::env::temp_dir().join(format!(
+                "gsgcn-trainer-store-{tag}-{}-{:?}",
+                std::process::id(),
+                std::thread::current().id()
+            ))
+        };
+        let (natural, bfs) = (dir("natural"), dir("bfs"));
+        d.spill_to_dir(&natural, 4).unwrap();
+        d.spill_to_dir_ordered(&bfs, 4, StoreOrder::Bfs).unwrap();
 
         let mut cfg = TrainerConfig::quick_test();
         cfg.epochs = 2;
@@ -750,19 +752,39 @@ mod tests {
             (losses, t.evaluate(EvalSplit::Val))
         };
         let (loss_res, f1_res) = run(GsGcnTrainer::new(&d, cfg.clone()).unwrap());
-        let (loss_st, f1_st) = run(GsGcnTrainer::from_store(&sd, cfg).unwrap());
 
-        // The train store holds the same induced topology and gathered
-        // rows as the resident TrainView, and sampling is seeded — so
-        // the loss trajectory is bit-identical.
-        assert_eq!(loss_res, loss_st);
-        // Stored eval runs L layers on L-hop balls, exact at the roots;
-        // allow a whisker of float slack for the different code path.
-        assert!(
-            (f1_res - f1_st).abs() < 1e-6,
-            "resident {f1_res} vs stored {f1_st}"
-        );
-        std::fs::remove_dir_all(&dir).ok();
+        // (store, backend, prefetch, sampler workers): the prefetch case
+        // runs pipelined, the only path that feeds the prefetcher from
+        // the sampler.
+        let cases = [
+            (&natural, StoreBackend::Mem, false, 0),
+            (&natural, StoreBackend::Mmap, false, 0),
+            (&bfs, StoreBackend::Mmap, true, 1),
+        ];
+        for (dir, backend, prefetch, workers) in cases {
+            let sd =
+                StoreDataset::open_with(dir, backend, DEFAULT_SHARD_CACHE_BYTES, prefetch).unwrap();
+            assert_eq!(sd.full.backend(), backend);
+            assert_eq!(sd.train.prefetch_enabled(), prefetch);
+            let mut cfg = cfg.clone();
+            cfg.sampler_threads = workers;
+            let (loss_st, f1_st) = run(GsGcnTrainer::from_store(&sd, cfg).unwrap());
+
+            // The train store holds the same induced topology and
+            // gathered rows as the resident TrainView, and sampling is
+            // seeded — so the loss trajectory is bit-identical whatever
+            // the backend, placement order or prefetch.
+            assert_eq!(loss_res, loss_st, "{backend:?} {dir:?} prefetch {prefetch}");
+            // Stored eval runs L layers on L-hop balls, exact at the
+            // roots; allow a whisker of float slack for the different
+            // code path.
+            assert!(
+                (f1_res - f1_st).abs() < 1e-6,
+                "{backend:?} {dir:?}: resident {f1_res} vs stored {f1_st}"
+            );
+        }
+        std::fs::remove_dir_all(&natural).ok();
+        std::fs::remove_dir_all(&bfs).ok();
     }
 
     #[test]

@@ -6,6 +6,9 @@
 use gsgcn_core::{GsGcnTrainer, TrainerConfig};
 use gsgcn_data::dataset::Dataset;
 use gsgcn_data::presets;
+use gsgcn_data::StoreDataset;
+use gsgcn_graph::store::DEFAULT_SHARD_CACHE_BYTES;
+use gsgcn_graph::StoreBackend;
 
 fn quick_dataset() -> Dataset {
     presets::scale_spec(&presets::ppi_spec(), 600).generate(11)
@@ -41,6 +44,27 @@ fn pipelined_loss_trajectory_bit_identical_to_synchronous() {
             "{workers} sampler workers diverged from the synchronous path"
         );
     }
+}
+
+/// The same pin on the out-of-core path: a trainer reading its
+/// training subgraphs from an mmap shard store.
+#[test]
+fn pipelined_from_mmap_store_bit_identical_to_synchronous() {
+    let d = quick_dataset();
+    let dir = std::env::temp_dir().join(format!("gsgcn-pipeline-store-{}", std::process::id()));
+    d.spill_to_dir(&dir, 4).unwrap();
+    let sd = StoreDataset::open_with(&dir, StoreBackend::Mmap, DEFAULT_SHARD_CACHE_BYTES, false)
+        .unwrap();
+    let losses = |sampler_threads: usize| -> Vec<u32> {
+        let mut t = GsGcnTrainer::from_store(&sd, quick_cfg(sampler_threads)).unwrap();
+        (0..2)
+            .map(|_| t.train_epoch().unwrap().mean_loss.to_bits())
+            .collect()
+    };
+    let reference = losses(0);
+    assert_eq!(losses(2), reference, "pipelined mmap training diverged");
+    drop(sd);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

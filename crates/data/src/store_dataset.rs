@@ -15,13 +15,11 @@
 //! so sampling from it out-of-core is bit-identical to sampling from the
 //! resident `TrainView` for a fixed seed. `dataset.gss` is written last
 //! (via a temp-file rename), so a crash mid-spill leaves a directory that
-//! [`StoreDataset::open`] loudly refuses instead of a silently truncated
+//! [`StoreDataset::open_with`] loudly refuses instead of a silently truncated
 //! dataset.
 
 use crate::dataset::{Dataset, Split, TaskKind};
-use gsgcn_graph::store::{
-    default_num_shards, shard_cache_budget_from_env, write_store_with_precision, StoreBackend,
-};
+use gsgcn_graph::store::{default_num_shards, write_store_with_precision, MmapStore, StoreBackend};
 use gsgcn_graph::{GraphStore, StoreOrder, Topology};
 use gsgcn_tensor::Precision;
 use std::io::{self, Write};
@@ -136,25 +134,30 @@ pub struct StoreDataset {
 }
 
 impl StoreDataset {
-    /// Open a spilled dataset honoring `GSGCN_GRAPH_STORE` and
-    /// `GSGCN_SHARD_CACHE`.
-    pub fn open(dir: &Path) -> io::Result<StoreDataset> {
-        Self::open_with(
-            dir,
-            gsgcn_graph::store::backend_from_env(),
-            shard_cache_budget_from_env(),
-        )
-    }
-
-    /// Open with an explicit backend and per-store cache budget.
+    /// Open a spilled dataset on `backend`, bounding each store's mapped
+    /// shard bytes by `budget`; `prefetch` starts a shard prefetcher per
+    /// mmap store.
     ///
     /// The `mem` backend materializes both stores fully resident — the
     /// negative control for the out-of-core RSS cap: a capped process
     /// that survives `mmap` here must die on `mem`.
-    pub fn open_with(dir: &Path, backend: StoreBackend, budget: usize) -> io::Result<StoreDataset> {
+    pub fn open_with(
+        dir: &Path,
+        backend: StoreBackend,
+        budget: usize,
+        prefetch: bool,
+    ) -> io::Result<StoreDataset> {
         let (name, task, split, train_origin) = read_meta(dir)?;
-        let full = GraphStore::open_with_budget(&dir.join(FULL_SUBDIR), budget)?;
-        let train = GraphStore::open_with_budget(&dir.join(TRAIN_SUBDIR), budget)?;
+        let prefetch = prefetch && backend == StoreBackend::Mmap;
+        let open = |sub: &str| -> io::Result<GraphStore> {
+            Ok(GraphStore::Mmap(MmapStore::open_with_prefetch(
+                &dir.join(sub),
+                budget,
+                prefetch,
+            )?))
+        };
+        let full = open(FULL_SUBDIR)?;
+        let train = open(TRAIN_SUBDIR)?;
 
         let n = full.num_vertices();
         let covered = split.train.len() + split.val.len() + split.test.len();
@@ -381,7 +384,7 @@ mod tests {
         let d = small_dataset();
         let dir = tmp_dir("roundtrip");
         d.spill_to_dir(&dir, 4).unwrap();
-        let sd = StoreDataset::open_with(&dir, StoreBackend::Mmap, 1 << 20).unwrap();
+        let sd = StoreDataset::open_with(&dir, StoreBackend::Mmap, 1 << 20, false).unwrap();
 
         assert_eq!(sd.name, d.name);
         assert_eq!(sd.task, d.task);
@@ -426,7 +429,7 @@ mod tests {
         for order in [StoreOrder::Bfs, StoreOrder::Degree] {
             let dir = tmp_dir(&format!("ordered-{}", order.name()));
             d.spill_to_dir_ordered(&dir, 4, order).unwrap();
-            let sd = StoreDataset::open_with(&dir, StoreBackend::Mmap, 1 << 20).unwrap();
+            let sd = StoreDataset::open_with(&dir, StoreBackend::Mmap, 1 << 20, false).unwrap();
             assert_eq!(sd.full.order(), order);
             assert_eq!(sd.train.order(), order);
             // Same user-facing numbering: adjacency and rows unchanged.
@@ -453,7 +456,7 @@ mod tests {
         let d = small_dataset();
         let dir = tmp_dir("membackend");
         d.spill_to_dir(&dir, 3).unwrap();
-        let sd = StoreDataset::open_with(&dir, StoreBackend::Mem, 1 << 20).unwrap();
+        let sd = StoreDataset::open_with(&dir, StoreBackend::Mem, 1 << 20, false).unwrap();
         assert_eq!(sd.full.backend(), StoreBackend::Mem);
         let rd = sd.to_dataset().unwrap();
         assert_eq!(rd.graph, d.graph);
@@ -467,7 +470,7 @@ mod tests {
     fn missing_or_truncated_meta_fails_loudly() {
         let d = small_dataset();
         let dir = tmp_dir("badmeta");
-        assert!(StoreDataset::open_with(&dir, StoreBackend::Mmap, 1 << 20).is_err());
+        assert!(StoreDataset::open_with(&dir, StoreBackend::Mmap, 1 << 20, false).is_err());
 
         d.spill_to_dir(&dir, 2).unwrap();
         let meta = dir.join(META_FILE);
@@ -475,7 +478,7 @@ mod tests {
         let f = std::fs::OpenOptions::new().write(true).open(&meta).unwrap();
         f.set_len(len / 2).unwrap();
         drop(f);
-        let err = StoreDataset::open_with(&dir, StoreBackend::Mmap, 1 << 20).unwrap_err();
+        let err = StoreDataset::open_with(&dir, StoreBackend::Mmap, 1 << 20, false).unwrap_err();
         assert!(
             err.to_string().contains("truncated"),
             "unexpected error: {err}"

@@ -18,8 +18,8 @@
 //!
 //! The cache state lives in [`StoreCore`], shared by `Arc` between the
 //! consumer-facing [`MmapStore`] and the optional background
-//! [`Prefetcher`](super::prefetch::Prefetcher) thread
-//! (`GSGCN_SHARD_PREFETCH`, or the CLI's `--prefetch`). The prefetcher
+//! [`Prefetcher`](super::prefetch::Prefetcher) thread (enabled at open;
+//! the CLI's `--prefetch`). The prefetcher
 //! pages shards in *ahead* of the consumer through
 //! [`StoreCore::prefetch_load`], whose eviction sweep is **guarded**: it
 //! never clears referenced bits and never evicts pinned or referenced
@@ -27,7 +27,7 @@
 //! is reading — at worst it declines and the demand path pays the map
 //! synchronously, exactly as with no prefetcher at all.
 
-use super::prefetch::{prefetch_from_env, Prefetcher};
+use super::prefetch::Prefetcher;
 use super::shard::{
     shard_file_name, ShardData, StoreManifest, FORMAT_VERSION, INDEX_FILE, INDEX_HEADER_LEN,
     INDEX_MAGIC,
@@ -512,22 +512,16 @@ pub struct MmapStore {
     /// Background page-in thread, when enabled at open.
     prefetcher: Option<Prefetcher>,
     /// When set, `Drop` removes the whole store directory (used by the
-    /// env-rerouted temp spill, so test-suite runs leave no tmp litter).
+    /// temp spill of `GraphStore::from_parts`, so it leaves no tmp litter).
     remove_on_drop: bool,
 }
 
 impl MmapStore {
     /// Open the store written under `dir`, bounding mapped shard bytes by
-    /// `budget` (bytes); prefetch follows `GSGCN_SHARD_PREFETCH`. Eagerly
-    /// validates the manifest, the index and every *present* shard file's
-    /// length — truncation fails here, not at first access. Missing shard
-    /// files leave their shard unavailable.
-    pub fn open(dir: &Path, budget: usize) -> io::Result<MmapStore> {
-        Self::open_with_prefetch(dir, budget, prefetch_from_env())
-    }
-
-    /// As [`Self::open`] with an explicit prefetch choice (the CLI flag
-    /// path, and tests that must not depend on the environment).
+    /// `budget` (bytes); `prefetch` starts the background page-in thread.
+    /// Eagerly validates the manifest, the index and every *present*
+    /// shard file's length — truncation fails here, not at first access.
+    /// Missing shard files leave their shard unavailable.
     pub fn open_with_prefetch(dir: &Path, budget: usize, prefetch: bool) -> io::Result<MmapStore> {
         let manifest = StoreManifest::load(dir)?;
         let n = manifest.n as usize;
@@ -595,7 +589,7 @@ impl MmapStore {
     }
 
     /// Mark the store directory for removal when the store drops (the
-    /// env-rerouted temp spill owns its directory).
+    /// temp spill of `GraphStore::from_parts` owns its directory).
     pub(super) fn set_remove_on_drop(&mut self) {
         self.remove_on_drop = true;
     }

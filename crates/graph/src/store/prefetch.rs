@@ -23,9 +23,9 @@
 //!   [`StoreCore::prefetch_load`](super::mmap::StoreCore::prefetch_load),
 //!   whose eviction is guarded and whose locks are poison-tolerant.
 //!
-//! Enablement follows the workspace's flag > env > default policy:
-//! `--prefetch` in the CLI, `GSGCN_SHARD_PREFETCH` in the environment,
-//! off by default.
+//! Enablement is an explicit argument of
+//! [`MmapStore::open_with_prefetch`](super::MmapStore::open_with_prefetch)
+//! (the CLI's `--prefetch`), off by default.
 
 use super::mmap::StoreCore;
 use std::collections::VecDeque;
@@ -33,25 +33,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-
-/// The `GSGCN_SHARD_PREFETCH` env default (the CLI's `--prefetch` wins by
-/// setting this before stores open). Unset/empty/`0`/`off`/`false` means
-/// disabled.
-///
-/// # Panics
-/// Panics on an unparseable value — a typo silently running without
-/// prefetch would invalidate exactly the out-of-core CI runs the variable
-/// exists for.
-pub fn prefetch_from_env() -> bool {
-    match std::env::var("GSGCN_SHARD_PREFETCH") {
-        Err(_) => false,
-        Ok(raw) => match raw.trim().to_ascii_lowercase().as_str() {
-            "" | "0" | "off" | "false" | "no" => false,
-            "1" | "on" | "true" | "yes" => true,
-            other => panic!("GSGCN_SHARD_PREFETCH: bad value {other:?}: expected 0|1|on|off"),
-        },
-    }
-}
 
 /// Mutex-guarded request queue (see module docs for the protocol).
 struct State {

@@ -78,7 +78,7 @@
 //! * The manifest is written **last**; a directory without a valid
 //!   manifest is not a store and fails to open loudly.
 //! * The manifest records every shard's exact file length and FNV-1a
-//!   checksum. [`open`](super::GraphStore::open) eagerly stats every
+//!   checksum. [`open_with_budget`](super::GraphStore::open_with_budget) eagerly stats every
 //!   present shard file against the recorded length, so truncation is a
 //!   loud [`InvalidData`](std::io::ErrorKind::InvalidData) error at open
 //!   time — never a silent short read later.

@@ -23,10 +23,8 @@
 //! invalidate lazily: stale entries are treated as misses and reclaimed
 //! by the eviction hand, so invalidation is O(1), not O(entries).
 //!
-//! Budget policy follows the `GSGCN_KERNEL` env-override pattern: the
-//! `GSGCN_ACTIVATION_CACHE` variable (`"64MiB"`, `"0"` to disable)
-//! supplies a default, and the `gsgcn serve --cache-bytes` flag
-//! overrides it (see the CLI).
+//! The budget is an explicit constructor argument; the CLI resolves it
+//! from `gsgcn serve --cache-bytes` (no flag, or `0`, serves uncached).
 //!
 //! # Row storage precision
 //!
@@ -38,8 +36,8 @@
 //! band (`gsgcn_tensor::precision::rel_tolerance`) since the final
 //! fused layer re-accumulates in f32 either way. The precision is fixed
 //! at construction — mixing would make hit bytes depend on insert
-//! history — and the serving engine passes the session's resolved
-//! precision (`--precision` flag / `GSGCN_PRECISION` env).
+//! history — and the CLI passes the process's resolved precision
+//! (`--precision`).
 
 use gsgcn_tensor::{bf16, Bf16, DMatrix, Precision};
 use std::collections::{HashMap, VecDeque};
@@ -389,31 +387,6 @@ impl std::fmt::Debug for ActivationCache {
     }
 }
 
-/// Parse a human byte-size string: a plain byte count (`"1048576"`) or a
-/// binary/decimal suffix (`KiB`/`MiB`/`GiB` = 2^10/20/30,
-/// `KB`/`MB`/`GB` = 10^3/6/9, bare `K`/`M`/`G` = binary), case-insensitive,
-/// optional whitespace before the suffix. `"0"` means *disabled*.
-pub fn parse_cache_budget(s: &str) -> Result<usize, String> {
-    // One byte-size grammar across the workspace: this is the same
-    // parser the graph store uses for GSGCN_SHARD_CACHE.
-    gsgcn_graph::store::parse_byte_size(s)
-}
-
-/// The `GSGCN_ACTIVATION_CACHE` env default (the `GSGCN_KERNEL`
-/// pattern): unset or `"0"` → `None` (disabled); a parse failure warns
-/// loudly on stderr and disables rather than silently serving uncached.
-pub fn budget_from_env() -> Option<usize> {
-    let raw = std::env::var("GSGCN_ACTIVATION_CACHE").ok()?;
-    match parse_cache_budget(&raw) {
-        Ok(0) => None,
-        Ok(bytes) => Some(bytes),
-        Err(e) => {
-            eprintln!("warning: ignoring GSGCN_ACTIVATION_CACHE: {e}");
-            None
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -592,17 +565,19 @@ mod tests {
         assert!(c16.stats().resident_bytes <= c16.budget_bytes());
     }
 
+    /// The `--cache-bytes` grammar: the workspace byte-size parser.
     #[test]
     fn budget_parsing() {
-        assert_eq!(parse_cache_budget("0").unwrap(), 0);
-        assert_eq!(parse_cache_budget("1234").unwrap(), 1234);
-        assert_eq!(parse_cache_budget("64MiB").unwrap(), 64 << 20);
-        assert_eq!(parse_cache_budget("64 mib").unwrap(), 64 << 20);
-        assert_eq!(parse_cache_budget("2g").unwrap(), 2 << 30);
-        assert_eq!(parse_cache_budget("10KB").unwrap(), 10_000);
-        assert!(parse_cache_budget("").is_err());
-        assert!(parse_cache_budget("MiB").is_err());
-        assert!(parse_cache_budget("64XB").is_err());
-        assert!(parse_cache_budget("-5").is_err());
+        use gsgcn_graph::store::parse_byte_size;
+        assert_eq!(parse_byte_size("0").unwrap(), 0);
+        assert_eq!(parse_byte_size("1234").unwrap(), 1234);
+        assert_eq!(parse_byte_size("64MiB").unwrap(), 64 << 20);
+        assert_eq!(parse_byte_size("64 mib").unwrap(), 64 << 20);
+        assert_eq!(parse_byte_size("2g").unwrap(), 2 << 30);
+        assert_eq!(parse_byte_size("10KB").unwrap(), 10_000);
+        assert!(parse_byte_size("").is_err());
+        assert!(parse_byte_size("MiB").is_err());
+        assert!(parse_byte_size("64XB").is_err());
+        assert!(parse_byte_size("-5").is_err());
     }
 }

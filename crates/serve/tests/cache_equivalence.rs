@@ -58,11 +58,7 @@ fn classifier_for(n: usize, depth: usize, loss: LossKind, seed: u64) -> NodeClas
         },
         seed ^ 0xBEEF,
     );
-    NodeClassifier::new(Arc::new(model), Arc::new(g), Arc::new(x))
-        .unwrap()
-        // Pin the baseline regardless of GSGCN_ACTIVATION_CACHE (the CI
-        // matrix sets it); cached variants attach explicitly below.
-        .with_cache(None)
+    NodeClassifier::new(Arc::new(model), Arc::new(g), Arc::new(x)).unwrap()
 }
 
 fn batch_of(n: usize, seed: u64) -> Vec<u32> {

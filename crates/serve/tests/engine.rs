@@ -5,15 +5,19 @@ use gsgcn_graph::GraphBuilder;
 use gsgcn_nn::model::{GcnConfig, GcnModel, LossKind};
 use gsgcn_serve::classifier::BatchClassify;
 use gsgcn_serve::{
-    AdmissionControl, BatchEngine, ClassifyWorkspace, EngineConfig, NodeClassifier, Prediction,
-    ServeError, TrySubmitError,
+    ActivationCache, AdmissionControl, BatchEngine, ClassifyWorkspace, EngineConfig,
+    NodeClassifier, Prediction, ServeError, TrySubmitError,
 };
-use gsgcn_tensor::DMatrix;
+use gsgcn_tensor::{precision, DMatrix, Precision};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn classifier() -> Arc<NodeClassifier> {
+    classifier_with_cache(None)
+}
+
+fn classifier_with_cache(cache: Option<Arc<ActivationCache>>) -> Arc<NodeClassifier> {
     let n = 24;
     let edges: Vec<(u32, u32)> = (0..n as u32)
         .map(|i| (i, (i + 1) % n as u32))
@@ -31,7 +35,11 @@ fn classifier() -> Arc<NodeClassifier> {
         },
         23,
     );
-    Arc::new(NodeClassifier::new(Arc::new(model), Arc::new(g), Arc::new(x)).unwrap())
+    Arc::new(
+        NodeClassifier::new(Arc::new(model), Arc::new(g), Arc::new(x))
+            .unwrap()
+            .with_cache(cache),
+    )
 }
 
 fn cfg() -> EngineConfig {
@@ -44,13 +52,60 @@ fn cfg() -> EngineConfig {
     }
 }
 
+/// Multi-worker round trip with no cache, an f32 and a bf16 activation
+/// cache: concurrent requests served twice (cold, then replaying cached
+/// rows) match a direct uncached classification — bit-identical without
+/// a cache, within the cached rows' storage tolerance with one.
 #[test]
 fn responses_match_direct_classification() {
-    let c = classifier();
-    let engine = BatchEngine::spawn(Arc::clone(&c), cfg()).unwrap();
-    let direct = c.classify(&[3, 11, 20]).unwrap();
-    let served = engine.classify(vec![3, 11, 20]).unwrap();
-    assert_eq!(served, direct);
+    let requests: Vec<Vec<u32>> = (0..8u32)
+        .map(|i| vec![i, (i * 7 + 3) % 24, (i + 12) % 24])
+        .collect();
+    let direct_classifier = classifier();
+    let direct: Vec<Vec<Prediction>> = requests
+        .iter()
+        .map(|r| direct_classifier.classify(r).unwrap())
+        .collect();
+
+    for rows in [None, Some(Precision::F32), Some(Precision::Bf16)] {
+        let cache = rows.map(|p| Arc::new(ActivationCache::with_precision(64 << 20, p)));
+        let mut cfg = cfg();
+        cfg.workers = 3;
+        cfg.max_wait = Duration::from_millis(2);
+        let engine = BatchEngine::spawn(classifier_with_cache(cache.clone()), cfg).unwrap();
+        for round in 0..2 {
+            let served: Vec<Vec<Prediction>> = std::thread::scope(|s| {
+                let handles: Vec<_> = requests
+                    .iter()
+                    .map(|r| s.spawn(|| engine.classify(r.clone()).unwrap()))
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            for (got, want) in served.iter().flatten().zip(direct.iter().flatten()) {
+                let ctx = format!("cache {rows:?} round {round} node {}", want.node);
+                match rows {
+                    None => assert_eq!(got, want, "{ctx}"),
+                    Some(p) => {
+                        assert_eq!(got.node, want.node, "{ctx}");
+                        if p == Precision::F32 {
+                            assert_eq!(got.labels, want.labels, "{ctx}");
+                        }
+                        let tol = precision::rel_tolerance(p, 2, 24).max(1e-4);
+                        for (a, b) in got.probs.iter().zip(&want.probs) {
+                            assert!((a - b).abs() <= tol, "{ctx}: {a} vs {b} (tol {tol})");
+                        }
+                    }
+                }
+            }
+        }
+        if let Some(c) = &cache {
+            assert!(
+                c.stats().hits > 0,
+                "cache {rows:?} never hit: {:?}",
+                c.stats()
+            );
+        }
+    }
 }
 
 /// Requests submitted while a worker is assembling a batch must share

@@ -59,9 +59,7 @@ fn both_backends(
     let mk = |backend| {
         let store =
             GraphStore::from_parts(backend, Arc::clone(&g), Some(Arc::clone(&x)), None).unwrap();
-        NodeClassifier::from_store(Arc::clone(&model), Arc::new(store))
-            .unwrap()
-            .with_cache(None)
+        NodeClassifier::from_store(Arc::clone(&model), Arc::new(store)).unwrap()
     };
     (mk(StoreBackend::Mem), mk(StoreBackend::Mmap))
 }

@@ -24,7 +24,7 @@ fn run(threads: usize, epochs: usize) -> (f64, f64, gsgcn::metrics::timing::Brea
     cfg.eval_every = 0;
     cfg.threads = threads;
     // The serial-vs-parallel comparison must not hide sampling on extra
-    // threads (see TrainerConfig::serial), env override included.
+    // threads (see TrainerConfig::serial).
     cfg.sampler_threads = 0;
     cfg.p_inter = threads.max(1);
     cfg.seed = 43;

@@ -7,6 +7,7 @@
 //!             [--frontier 100] [--lr 0.02] [--threads 0]
 //!             [--sampler-threads auto] [--patience N] [--seed 42]
 //!             [--save model.gcn] [--shards DIR] [--graph-store mem|mmap]
+//!             [--prefetch] [--shard-cache 64MiB]
 //! gsgcn eval    --load model.gcn [--dataset ppi] [--hidden 128,128] [--seed 42]
 //! gsgcn predict --load model.gcn --nodes 3,17,204
 //! gsgcn serve   --load model.gcn [--addr 127.0.0.1:7878] [--workers 1]
@@ -19,11 +20,12 @@
 //! (`gsgcn_data::StoreDataset`); `train`/`eval`/`predict`/`serve` accept
 //! `--shards DIR` to run against it without regenerating (or fully
 //! loading) the dataset. `--graph-store mem|mmap` picks the store
-//! backend with flag > `GSGCN_GRAPH_STORE` env > default (`mem`)
-//! precedence: `mmap` keeps the resident set bounded by the
-//! `GSGCN_SHARD_CACHE` budget, `mem` materialises everything (the
-//! negative control for the RSS-capped CI smoke test). `train` and
-//! `predict` report the kernel-measured peak RSS on exit.
+//! backend (default `mem`): `mmap` keeps the resident set bounded by the
+//! `--shard-cache` budget (default 64 MiB), `mem` materialises everything
+//! (the negative control for the RSS-capped CI smoke test); `--prefetch`
+//! pages upcoming shards in on a background thread. These store flags
+//! need `--shards`. `train` and `predict` report the kernel-measured
+//! peak RSS on exit.
 //!
 //! `eval`, `predict` and `serve` default the dataset, seed, scale and
 //! hidden dims to the values stored in the checkpoint (v2 provenance), so
@@ -38,7 +40,10 @@
 //! lacks tier `T` (used by CI to skip unsupported tiers visibly).
 //!
 //! Argument parsing is hand-rolled (the workspace has no CLI dependency);
-//! unknown flags are reported with usage help.
+//! each command accepts a fixed set of flags and reports anything else
+//! with usage help. Configuration is resolved here and passed down as
+//! values (the tensor crate's dispatch overrides `GSGCN_KERNEL`,
+//! `GSGCN_AMX` and `GSGCN_PRECISION` are the only environment reads).
 
 use gsgcn::core::trainer::EvalSplit;
 use gsgcn::core::{GsGcnTrainer, TrainerConfig};
@@ -64,13 +69,14 @@ const USAGE: &str = "usage:
   gsgcn train --dataset <ppi|reddit|yelp|amazon> [--epochs N] [--hidden A,B,..]
               [--budget N] [--frontier N] [--lr F] [--threads N]
               [--sampler-threads N|auto] [--patience N] [--seed N] [--full]
-              [--save PATH] [--shards DIR] [--graph-store <mem|mmap>]
-              [--prefetch]
+              [--eval-every N] [--save PATH] [--shards DIR]
+              [--graph-store <mem|mmap>] [--prefetch] [--shard-cache SIZE]
               (--shards trains from a pre-sharded store dir instead of
                generating the dataset; --graph-store picks the store
-               backend, flag > GSGCN_GRAPH_STORE env > mem; --prefetch
-               pages upcoming shards in on a background thread, flag >
-               GSGCN_SHARD_PREFETCH env > off)
+               backend, default mem; --prefetch pages upcoming shards in
+               on a background thread; --shard-cache bounds the mmap
+               backend's mapped shard bytes, default 64MiB, SIZE as
+               64MiB/1GB/..; these store flags need --shards)
               (--sampler-threads: dedicated sampler workers overlapping
                sampling with compute; default auto = min(2, cores/4),
                0 = synchronous in-loop sampling)
@@ -78,15 +84,16 @@ const USAGE: &str = "usage:
                the activation storage precision, flag > GSGCN_PRECISION
                env > f32; bf16 stores activations at half width with f32
                accumulation — weights and gradients stay f32)
-  gsgcn eval  --load PATH [--dataset <name>] [--hidden A,B,..] [--seed N]
-              [--full|--scaled] [--shards DIR] [--graph-store <mem|mmap>]
-              [--prefetch]
+  gsgcn eval  --load PATH [--dataset <name>] [--vertices N] [--hidden A,B,..]
+              [--seed N] [--full|--scaled] [--threads N] [--shards DIR]
+              [--graph-store <mem|mmap>] [--prefetch] [--shard-cache SIZE]
               (dataset/seed/scale/hidden default to the checkpoint's training
                values; an explicit flag overrides with a warning)
   gsgcn predict --load PATH --nodes N,N,.. [--probs] [--shards DIR]
-              [--graph-store <mem|mmap>] [--prefetch] [dataset overrides as
-              for eval] — classify a node batch on its L-hop subgraph
-              through the batch engine; --probs prints full class rows
+              [--graph-store <mem|mmap>] [--prefetch] [--shard-cache SIZE]
+              [dataset overrides as for eval] — classify a node batch on
+              its L-hop subgraph through the batch engine; --probs prints
+              full class rows
   gsgcn serve --load PATH [--addr HOST:PORT] [--workers N] [--max-batch N]
               [--max-wait-us N] [--queue N] [--admission <block|shed>]
               [--protocol <line|binary>] [--cache-bytes SIZE]
@@ -97,13 +104,42 @@ const USAGE: &str = "usage:
               `overloaded\\n` when admission sheds, `quit` to close);
               --protocol binary selects the pipelined length-prefixed
               framing (see gsgcn_serve docs).
-              SIZE accepts 64MiB/1GB/..; --cache-bytes 0 disables the
-              activation cache and overrides the GSGCN_ACTIVATION_CACHE
-              env default; accepts --shards/--graph-store/--prefetch as
-              for predict
+              --cache-bytes SIZE attaches an activation cache (SIZE as
+              64MiB/1GB/..; default and 0 serve uncached); accepts
+              --shards/--graph-store/--prefetch/--shard-cache as for
+              predict
   gsgcn kernel [--probe <scalar|avx2|avx512>]";
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// The flags `cmd` accepts. Anything else is a usage error: a misspelt
+/// `--graph-stor mmap` must not silently run on `mem`.
+fn accepted_flags(cmd: &str) -> Vec<&'static str> {
+    const DATASET: &str = "dataset vertices seed full precision";
+    const STORE: &str = "shards graph-store prefetch shard-cache";
+    const CHECKPOINT: &str = "load scaled hidden";
+    let groups: &[&str] = match cmd {
+        "kernel" => &["probe"],
+        "shard" => &["dataset vertices seed full out num-shards order features"],
+        "train" => &[
+            DATASET,
+            STORE,
+            "epochs hidden budget frontier lr threads sampler-threads eval-every patience save",
+        ],
+        "eval" => &[DATASET, STORE, CHECKPOINT, "threads"],
+        "predict" => &[DATASET, STORE, CHECKPOINT, "nodes probs"],
+        "serve" => &[
+            DATASET,
+            STORE,
+            CHECKPOINT,
+            "addr workers max-batch max-wait-us queue admission protocol cache-bytes \
+             max-conns idle-timeout-ms",
+        ],
+        _ => &[],
+    };
+    groups.iter().flat_map(|g| g.split_whitespace()).collect()
+}
+
+fn parse_flags(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, String> {
+    let accepted = accepted_flags(cmd);
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -112,6 +148,9 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
             return Err(format!("unexpected argument {a:?}"));
         }
         let key = a.trim_start_matches("--").to_string();
+        if !accepted.contains(&key.as_str()) {
+            return Err(format!("unknown flag --{key} for `gsgcn {cmd}`"));
+        }
         if key == "full" || key == "scaled" || key == "probs" || key == "prefetch" {
             flags.insert(key, "1".to_string());
             i += 1;
@@ -183,22 +222,55 @@ fn load_dataset(flags: &HashMap<String, String>) -> Result<Dataset, String> {
     Ok(d)
 }
 
-/// Apply `--graph-store <mem|mmap>` with flag > env > default precedence:
-/// the flag simply wins by overwriting `GSGCN_GRAPH_STORE` before any
-/// store is built, so every downstream `from_parts_env`/`open` agrees.
-fn apply_graph_store_flag(flags: &HashMap<String, String>) -> Result<(), String> {
-    if let Some(v) = flags.get("graph-store") {
-        match v.to_lowercase().as_str() {
-            "mem" | "mmap" => std::env::set_var("GSGCN_GRAPH_STORE", v.to_lowercase()),
-            other => return Err(format!("bad --graph-store {other:?}: expected mem|mmap")),
-        }
+/// Open the `--shards DIR` store, if any, on the `--graph-store` backend
+/// (default `mem`) with a `--shard-cache` budget (default
+/// [`DEFAULT_SHARD_CACHE_BYTES`](gsgcn::graph::store::DEFAULT_SHARD_CACHE_BYTES))
+/// and `--prefetch`. The store flags configure only a sharded store, so
+/// without `--shards` they are an error rather than silently ignored.
+fn open_shards(
+    flags: &HashMap<String, String>,
+) -> Result<Option<gsgcn::data::StoreDataset>, String> {
+    use gsgcn::graph::store::{parse_byte_size, DEFAULT_SHARD_CACHE_BYTES};
+
+    let Some(dir) = flags.get("shards") else {
+        return match ["graph-store", "prefetch", "shard-cache"]
+            .into_iter()
+            .find(|f| flags.contains_key(*f))
+        {
+            Some(f) => Err(format!("--{f} needs --shards DIR")),
+            None => Ok(None),
+        };
+    };
+    let backend = match flags.get("graph-store") {
+        None => gsgcn::graph::StoreBackend::Mem,
+        Some(v) => v.parse().map_err(|e| format!("--graph-store: {e}"))?,
+    };
+    let budget = match flags.get("shard-cache") {
+        None => DEFAULT_SHARD_CACHE_BYTES,
+        Some(v) => match parse_byte_size(v).map_err(|e| format!("--shard-cache: {e}"))? {
+            0 => return Err("--shard-cache must be > 0 (a zero budget could map no shard)".into()),
+            bytes => bytes,
+        },
+    };
+    gsgcn::data::StoreDataset::open_with(
+        std::path::Path::new(dir),
+        backend,
+        budget,
+        flags.contains_key("prefetch"),
+    )
+    .map(Some)
+    .map_err(|e| format!("opening shard dir {dir:?}: {e}"))
+}
+
+/// The shard-cache budget a store runs with, for the startup banners.
+fn shard_cache_note(store: &gsgcn::graph::GraphStore) -> String {
+    match store.as_mmap() {
+        Some(m) => format!(
+            "shard cache {}",
+            gsgcn::metrics::mem::format_bytes(m.budget_bytes())
+        ),
+        None => "no shard cache".to_string(),
     }
-    // `--prefetch`: enable the async shard prefetcher on every mmap store
-    // this command opens, same flag > GSGCN_SHARD_PREFETCH env precedence.
-    if flags.contains_key("prefetch") {
-        std::env::set_var("GSGCN_SHARD_PREFETCH", "1");
-    }
-    Ok(())
 }
 
 /// Apply `--precision <f32|bf16>` with flag > `GSGCN_PRECISION` env > f32
@@ -278,11 +350,9 @@ fn build_config(flags: &HashMap<String, String>) -> Result<TrainerConfig, String
     } else {
         cfg.threads
     };
-    // Pipelined sampling: flag > env (via TrainerConfig::default) > auto.
     cfg.sampler_threads = match flags.get("sampler-threads") {
         Some(spec) => gsgcn::core::config::parse_sampler_threads(spec)
             .map_err(|e| format!("--sampler-threads: {e}"))?,
-        None if std::env::var_os("GSGCN_SAMPLER_THREADS").is_some() => cfg.sampler_threads,
         None => gsgcn::core::config::auto_sampler_threads(),
     };
     Ok(cfg)
@@ -372,9 +442,8 @@ fn cmd_shard(flags: &HashMap<String, String>) -> Result<(), String> {
 
 fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
     apply_precision_flag(flags)?;
-    apply_graph_store_flag(flags)?;
-    if let Some(dir) = flags.get("shards") {
-        return train_from_shards(flags, dir);
+    if let Some(sd) = open_shards(flags)? {
+        return train_from_shards(flags, &sd);
     }
     let dataset = load_dataset(flags)?;
     let cfg = build_config(flags)?;
@@ -418,14 +487,16 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
 /// store. On the `mmap` backend nothing is materialised — sampling and
 /// evaluation stream through the shard cache, so the resident set stays
 /// bounded regardless of graph size.
-fn train_from_shards(flags: &HashMap<String, String>, dir: &str) -> Result<(), String> {
-    let sd = gsgcn::data::StoreDataset::open(std::path::Path::new(dir))
-        .map_err(|e| format!("opening shard dir {dir:?}: {e}"))?;
+fn train_from_shards(
+    flags: &HashMap<String, String>,
+    sd: &gsgcn::data::StoreDataset,
+) -> Result<(), String> {
     let cfg = build_config(flags)?;
     println!(
-        "training on sharded {} from {dir} (|V|={}, f={}, classes={}, backend {:?}, \
-         {} shard{}, {} order, prefetch {}) — {} epochs, hidden {:?}",
+        "training on sharded {} from {} (|V|={}, f={}, classes={}, backend {:?}, \
+         {} shard{}, {} order, {}, prefetch {}) — {} epochs, hidden {:?}",
         sd.name,
+        flags["shards"],
         sd.num_vertices(),
         sd.feature_dim(),
         sd.num_classes(),
@@ -433,6 +504,7 @@ fn train_from_shards(flags: &HashMap<String, String>, dir: &str) -> Result<(), S
         sd.full.num_shards(),
         plural(sd.full.num_shards()),
         sd.full.order().name(),
+        shard_cache_note(&sd.full),
         if sd.train.prefetch_enabled() {
             "on"
         } else {
@@ -441,7 +513,7 @@ fn train_from_shards(flags: &HashMap<String, String>, dir: &str) -> Result<(), S
         cfg.epochs,
         cfg.hidden_dims
     );
-    let mut trainer = GsGcnTrainer::from_store(&sd, cfg)?;
+    let mut trainer = GsGcnTrainer::from_store(sd, cfg)?;
     let report = trainer.train()?;
     println!("{}", report.summary());
     print_cache_stats(&sd.full);
@@ -531,7 +603,6 @@ fn apply_checkpoint_meta(flags: &mut HashMap<String, String>, meta: &CheckpointM
 
 fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), String> {
     apply_precision_flag(flags)?;
-    apply_graph_store_flag(flags)?;
     let path = flags.get("load").ok_or("missing --load")?;
     let weights = ModelWeights::load(path).map_err(|e| format!("loading {path:?}: {e}"))?;
     let mut flags = flags.clone();
@@ -554,18 +625,11 @@ fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), String> {
     // The sharded store and the regenerated dataset are mutually
     // exclusive sources; a StoreDataset needs no provenance (its graph
     // is on disk, not regenerated).
-    let sd: Option<gsgcn::data::StoreDataset>;
+    let sd = open_shards(&flags)?;
     let dataset;
-    let mut trainer = match flags.get("shards") {
-        Some(dir) => {
-            sd = Some(
-                gsgcn::data::StoreDataset::open(std::path::Path::new(dir))
-                    .map_err(|e| format!("opening shard dir {dir:?}: {e}"))?,
-            );
-            GsGcnTrainer::from_store(sd.as_ref().unwrap(), cfg)?
-        }
+    let mut trainer = match &sd {
+        Some(sd) => GsGcnTrainer::from_store(sd, cfg)?,
         None => {
-            sd = None;
             dataset = load_dataset(&flags)?;
             GsGcnTrainer::new(&dataset, cfg)?
         }
@@ -602,9 +666,7 @@ fn build_classifier(
     }
     // `--shards DIR` serves straight from the on-disk store; otherwise
     // the training dataset is regenerated from checkpoint provenance.
-    if let Some(dir) = flags.get("shards") {
-        let sd = gsgcn::data::StoreDataset::open(std::path::Path::new(dir))
-            .map_err(|e| format!("opening shard dir {dir:?}: {e}"))?;
+    if let Some(sd) = open_shards(&flags)? {
         let loss = match sd.task {
             gsgcn::data::TaskKind::MultiLabel => LossKind::SigmoidBce,
             gsgcn::data::TaskKind::SingleLabel => LossKind::SoftmaxCe,
@@ -620,17 +682,18 @@ fn build_classifier(
         let mut model = GcnModel::new(cfg, 1);
         model.import_weights(&weights)?;
         println!(
-            "loaded {} parameters from {path} — serving sharded {} from {dir} \
+            "loaded {} parameters from {path} — serving sharded {} from {} \
              (|V|={}, {} classes, backend {:?}, {}-hop queries, {} order, \
-             shard cache {}, prefetch {})",
+             {}, prefetch {})",
             weights.num_params(),
             sd.name,
+            flags["shards"],
             sd.num_vertices(),
             sd.num_classes(),
             sd.full.backend(),
             model.num_layers(),
             sd.full.order().name(),
-            gsgcn::metrics::mem::format_bytes(gsgcn::graph::store::shard_cache_budget_from_env()),
+            shard_cache_note(&sd.full),
             if sd.full.prefetch_enabled() {
                 "on"
             } else {
@@ -674,7 +737,6 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
     use std::sync::Arc;
 
     apply_precision_flag(flags)?;
-    apply_graph_store_flag(flags)?;
     // Same id syntax as one TCP request line (commas and/or spaces).
     let nodes = gsgcn::serve::poll::parse_request(flags.get("nodes").ok_or("missing --nodes")?)
         .map_err(|e| format!("--nodes: {e}"))?;
@@ -710,30 +772,24 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
 
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     use gsgcn::serve::poll::{EventFrontend, FrontendConfig, Protocol};
-    use gsgcn::serve::{cache, ActivationCache, AdmissionControl, BatchEngine, EngineConfig};
+    use gsgcn::serve::{ActivationCache, AdmissionControl, BatchEngine, EngineConfig};
     use std::sync::Arc;
 
     apply_precision_flag(flags)?;
-    apply_graph_store_flag(flags)?;
-    // Cache budget policy (the GSGCN_KERNEL pattern): an explicit
-    // --cache-bytes wins over the GSGCN_ACTIVATION_CACHE env default,
-    // which `NodeClassifier::new` applies on its own.
-    let classifier = match flags.get("cache-bytes") {
-        None => build_classifier(flags)?,
+    let cache_bytes = match flags.get("cache-bytes") {
+        None => 0,
         Some(s) => {
-            let bytes = cache::parse_cache_budget(s).map_err(|e| format!("--cache-bytes: {e}"))?;
-            build_classifier(flags)?.with_cache(if bytes == 0 {
-                None
-            } else {
-                // Cached rows follow the resolved activation precision:
-                // bf16 serving halves cache bytes-per-row.
-                Some(Arc::new(ActivationCache::with_precision(
-                    bytes,
-                    precision::current(),
-                )))
-            })
+            gsgcn::graph::store::parse_byte_size(s).map_err(|e| format!("--cache-bytes: {e}"))?
         }
     };
+    // Cached rows follow the resolved activation precision: bf16 serving
+    // halves cache bytes-per-row.
+    let classifier = build_classifier(flags)?.with_cache((cache_bytes > 0).then(|| {
+        Arc::new(ActivationCache::with_precision(
+            cache_bytes,
+            precision::current(),
+        ))
+    }));
     let cache_note = match classifier.cache() {
         Some(c) => format!("activation cache {} bytes", c.budget_bytes()),
         None => "activation cache off".to_string(),
@@ -848,12 +904,12 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let result = match cmd.as_str() {
-        "datasets" => cmd_datasets(),
-        "kernel" => match parse_flags(&args[1..]).and_then(|flags| cmd_kernel(&flags)) {
+        "datasets" => parse_flags(cmd, &args[1..]).and_then(|_| cmd_datasets()),
+        "kernel" => match parse_flags(cmd, &args[1..]).and_then(|flags| cmd_kernel(&flags)) {
             Ok(code) => return code,
             Err(e) => Err(e),
         },
-        "shard" | "train" | "eval" | "predict" | "serve" => match parse_flags(&args[1..]) {
+        "shard" | "train" | "eval" | "predict" | "serve" => match parse_flags(cmd, &args[1..]) {
             Ok(flags) => match cmd.as_str() {
                 "shard" => cmd_shard(&flags),
                 "train" => cmd_train(&flags),

@@ -97,3 +97,41 @@ fn skewed_amazon_shape_with_degree_cap() {
     );
     assert!((0.0..=1.0).contains(&report.final_val_f1));
 }
+
+/// The CLI refuses configuration it cannot honour instead of running
+/// with a default: an unknown (misspelt) flag, a zero shard-cache budget
+/// and a store flag without `--shards` each exit non-zero with an error.
+#[test]
+fn cli_rejects_unknown_flags_and_bad_store_options() {
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &["kernel", "--no-such-flag", "1"],
+            "unknown flag --no-such-flag",
+        ),
+        (
+            &["train", "--dataset", "ppi", "--graph-stor", "mmap"],
+            "unknown flag --graph-stor",
+        ),
+        (
+            &["train", "--shards", "no-such-dir", "--shard-cache", "0"],
+            "--shard-cache must be > 0",
+        ),
+        (
+            &["train", "--dataset", "ppi", "--prefetch"],
+            "--prefetch needs --shards",
+        ),
+    ];
+    for (args, want) in cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_gsgcn"))
+            .args(args)
+            .output()
+            .expect("run gsgcn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} exited 0");
+        assert!(
+            stderr.contains(want),
+            "{args:?}: stderr lacks {want:?}:\n{stderr}"
+        );
+        assert!(stderr.contains("usage:"), "{args:?}: no usage text");
+    }
+}
