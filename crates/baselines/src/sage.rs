@@ -20,6 +20,7 @@ use gsgcn_nn::loss as nn_loss;
 use gsgcn_nn::model::LossKind;
 use gsgcn_prop::propagator::FeaturePropagator;
 use gsgcn_sampler::rng::Xorshift128Plus;
+use gsgcn_tensor::fpmode::FlushDenormals;
 use gsgcn_tensor::{gemm, ops, DMatrix};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -168,8 +169,12 @@ impl<'a> SageTrainer<'a> {
         (out_nodes, blocks)
     }
 
-    /// Train on one batch of target vertices; returns the loss.
+    /// Train on one batch of target vertices; returns the loss. Like
+    /// `GcnModel::train_step`, the batch runs with subnormals flushed to
+    /// zero (`gsgcn_tensor::fpmode`), so the baselines and GS-GCN are
+    /// timed under the same numeric contract.
     pub fn train_batch(&mut self, targets: &[u32]) -> f32 {
+        let _flush = FlushDenormals::new();
         let start = Instant::now();
         let seed = self.cfg.seed ^ (self.t.wrapping_mul(0x9E3779B97F4A7C15));
         let (input_nodes, blocks) = self.sample_blocks(targets, seed);

@@ -14,6 +14,7 @@ use crate::loss;
 use crate::workspace::InferenceWorkspace;
 use gsgcn_graph::CsrGraph;
 use gsgcn_prop::propagator::FeaturePropagator;
+use gsgcn_tensor::fpmode::FlushDenormals;
 use gsgcn_tensor::{ops, DMatrix};
 
 /// Which loss (and implied output activation) the task uses.
@@ -209,7 +210,16 @@ impl GcnModel {
     ///
     /// Runs entirely on the model's persistent buffers — see the struct
     /// docs; no matrix is allocated once the workspace is warm.
+    ///
+    /// **Numerics: the step flushes subnormals to zero.** It holds a
+    /// [`FlushDenormals`] guard throughout, so every value below
+    /// `f32::MIN_POSITIVE` (converged `dLogits`, gradients, Adam moments)
+    /// reads and writes as zero instead of taking microcode assists; the
+    /// pool runs every parallel piece in this thread's mode. The caller's
+    /// mode is restored on return. Inference (`infer_*`, `eval_loss`)
+    /// takes no guard and runs in the caller's mode, IEEE by default.
     pub fn train_step(&mut self, g: &CsrGraph, x: &DMatrix, y: &DMatrix) -> StepResult {
+        let _flush = FlushDenormals::new();
         assert_eq!(x.rows(), g.num_vertices(), "feature/vertex mismatch");
         assert_eq!(y.rows(), g.num_vertices(), "label/vertex mismatch");
         let mut timings = KernelTimings::default();
@@ -754,5 +764,50 @@ mod tests {
         let mut m = GcnModel::new(small_cfg(LossKind::SigmoidBce), 12);
         let bad_x = DMatrix::zeros(3, 4);
         m.train_step(&g, &bad_x, &y);
+    }
+
+    /// True when this thread flushes subnormals: a subnormal times one
+    /// reads back as zero only under FTZ/DAZ.
+    #[cfg(target_arch = "x86_64")]
+    fn flushing() -> bool {
+        use std::hint::black_box;
+        (black_box(f32::MIN_POSITIVE / 2.0) * black_box(1.0f32)).to_bits() == 0
+    }
+
+    /// Pins the scope of the flush-to-zero contract: `train_step` hands
+    /// back the caller's mode, and inference computes in the caller's
+    /// mode (IEEE unless the caller chose otherwise), so serving is never
+    /// flushed behind its back.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn train_step_restores_the_callers_mode_and_inference_runs_in_it() {
+        let (g, x, y) = two_cluster_graph();
+        let mut m = GcnModel::new(small_cfg(LossKind::SigmoidBce), 21);
+        assert!(!flushing());
+        m.train_step(&g, &x, &y);
+        assert!(!flushing(), "an IEEE caller stays IEEE");
+        {
+            let _flush = FlushDenormals::new();
+            m.train_step(&g, &x, &y);
+            assert!(flushing(), "a flushing caller stays flushing");
+        }
+
+        // Constant logits of -88: sigmoid = 1 / (1 + e^88) ≈ 6.1e-39, a
+        // subnormal that survives in IEEE and flushes to zero under FTZ.
+        m.head.w.value.fill(0.0);
+        m.head.b.value.fill(-88.0);
+        let mut ws = InferenceWorkspace::new();
+        let mut out = DMatrix::zeros(0, 0);
+        m.infer_probs_into(&g, &x, &mut ws, &mut out);
+        assert!(
+            out.data().iter().all(|&p| p > 0.0 && p < f32::MIN_POSITIVE),
+            "inference under an IEEE caller keeps subnormal probabilities"
+        );
+        let _flush = FlushDenormals::new();
+        m.infer_probs_into(&g, &x, &mut ws, &mut out);
+        assert!(
+            out.data().iter().all(|&p| p.to_bits() == 0),
+            "inference under a flushing caller flushes"
+        );
     }
 }

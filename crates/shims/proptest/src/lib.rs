@@ -14,6 +14,9 @@
 //! * **Derandomised by name.** Each test's RNG stream is derived from the
 //!   test function name and case index, so runs are fully deterministic
 //!   (upstream uses an entropy-seeded RNG plus a persistence file).
+//!   `PROPTEST_SEED=N` moves every stream to another fixed one, and
+//!   `PROPTEST_CASES=N` overrides every property's case count (see
+//!   [`test_runner`]); a failure message names the seed it ran under.
 
 pub mod strategy;
 pub mod test_runner;
@@ -155,7 +158,7 @@ macro_rules! __proptest_impl {
             $(#[$attr])*
             fn $name() {
                 let config: $crate::ProptestConfig = $cfg;
-                for case in 0..config.cases {
+                for case in 0..$crate::test_runner::cases(config.cases) {
                     let mut proptest_rng = $crate::test_runner::TestRng::for_case(
                         stringify!($name),
                         case as u64,
@@ -173,9 +176,11 @@ macro_rules! __proptest_impl {
                         })();
                     if let ::core::result::Result::Err(msg) = result {
                         panic!(
-                            "proptest `{}` failed at case {}: {}",
+                            "proptest `{}` failed at case {} (PROPTEST_SEED={}): {}",
                             stringify!($name),
                             case,
+                            $crate::test_runner::seed_override()
+                                .map_or("unset".to_string(), |s| s.to_string()),
                             msg
                         );
                     }

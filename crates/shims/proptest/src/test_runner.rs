@@ -1,20 +1,76 @@
-//! The deterministic RNG driving value generation.
+//! The deterministic RNG driving value generation, and the two
+//! environment overrides of the runner:
+//!
+//! * `PROPTEST_SEED=N` (a `u64`) mixes `N` into every test's stream, so a
+//!   run explores cases the fixed stream never reaches. A failure message
+//!   names the seed, and setting it again replays the same cases.
+//! * `PROPTEST_CASES=N` runs `N` cases per property instead of the
+//!   configured count.
+//!
+//! With neither set, every stream and case count is exactly the fixed one.
 
-/// SplitMix64-seeded xoshiro256++ stream, derived from the test name and
-/// case index so every run of the suite explores the same cases.
+use std::sync::OnceLock;
+
+/// `PROPTEST_SEED`, read once; `None` when unset.
+///
+/// # Panics
+/// Panics when the variable is set but is not a `u64`.
+pub fn seed_override() -> Option<u64> {
+    static SEED: OnceLock<Option<u64>> = OnceLock::new();
+    *SEED.get_or_init(|| parse_override("PROPTEST_SEED"))
+}
+
+/// The number of cases to run: `PROPTEST_CASES` when set, else
+/// `configured`.
+///
+/// # Panics
+/// Panics when the variable is set but is not a `u32`.
+pub fn cases(configured: u32) -> u32 {
+    static CASES: OnceLock<Option<u32>> = OnceLock::new();
+    CASES
+        .get_or_init(|| parse_override("PROPTEST_CASES"))
+        .unwrap_or(configured)
+}
+
+fn parse_override<T: std::str::FromStr>(name: &str) -> Option<T> {
+    let raw = std::env::var(name).ok()?;
+    match raw.trim().parse() {
+        Ok(v) => Some(v),
+        Err(_) => panic!(
+            "{name}={raw:?} is not a valid {}",
+            std::any::type_name::<T>()
+        ),
+    }
+}
+
+/// SplitMix64-seeded xoshiro256++ stream, derived from the test name,
+/// case index and [`seed_override`], so every run of the suite with the
+/// same `PROPTEST_SEED` (or none) explores the same cases.
 #[derive(Clone, Debug)]
 pub struct TestRng {
     s: [u64; 4],
 }
 
 impl TestRng {
-    /// Stream for case `case` of the named test.
+    /// Stream for case `case` of the named test under
+    /// [`seed_override`].
     pub fn for_case(name: &str, case: u64) -> TestRng {
+        Self::for_case_seeded(name, case, seed_override())
+    }
+
+    /// Stream for case `case` of the named test; `seed: None` is the
+    /// fixed stream.
+    fn for_case_seeded(name: &str, case: u64, seed: Option<u64>) -> TestRng {
         // FNV-1a over the test name, mixed with the case index.
         let mut h: u64 = 0xcbf29ce484222325;
         for b in name.bytes() {
             h ^= b as u64;
             h = h.wrapping_mul(0x100000001b3);
+        }
+        if let Some(seed) = seed {
+            // One more FNV step keyed by the seed: seed 0 differs from
+            // no seed.
+            h = (h ^ seed).wrapping_mul(0x100000001b3);
         }
         let mut sm = h ^ case.wrapping_mul(0x9E3779B97F4A7C15);
         let mut next = || {
@@ -65,6 +121,19 @@ mod tests {
         let x = TestRng::for_case("foo", 3).next_u64();
         assert_ne!(c.next_u64(), x);
         assert_ne!(d.next_u64(), x);
+    }
+
+    #[test]
+    fn seed_selects_a_different_reproducible_stream() {
+        let fixed = TestRng::for_case_seeded("foo", 3, None).next_u64();
+        // The fixed stream predates the override; it must not move.
+        assert_eq!(fixed, 0x968fb37b197598e);
+        let s0 = TestRng::for_case_seeded("foo", 3, Some(0)).next_u64();
+        let s7 = TestRng::for_case_seeded("foo", 3, Some(7)).next_u64();
+        assert_ne!(s0, fixed);
+        assert_ne!(s7, fixed);
+        assert_ne!(s0, s7);
+        assert_eq!(s7, TestRng::for_case_seeded("foo", 3, Some(7)).next_u64());
     }
 
     #[test]

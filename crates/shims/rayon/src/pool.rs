@@ -9,6 +9,15 @@
 //! e.g. fused aggregation tasks whose cost follows the per-row degree —
 //! never convoy on the queue lock; the only shared write on the claim
 //! path is one `fetch_add`.
+//!
+//! **Pieces run in the dispatcher's floating-point mode.** MXCSR (the
+//! x86 rounding and flush-to-zero state) is per thread, and a piece may
+//! run on the dispatching thread or on any worker. So every runner job
+//! loads the dispatcher's MXCSR before it claims pieces and restores the
+//! worker's own value afterwards, writing the register only when the two
+//! differ. A training step that flushes subnormals (`gsgcn_tensor::fpmode`)
+//! then flushes on every piece, an IEEE caller gets IEEE on every piece,
+//! and results stay independent of which thread claimed what.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -262,7 +271,9 @@ impl ClaimState {
 /// observe results of a panicked parallel call.
 ///
 /// The *values* computed per index never depend on which thread runs it —
-/// callers encode any order-sensitivity in the index space itself.
+/// callers encode any order-sensitivity in the index space itself, and
+/// every piece runs in the dispatching thread's MXCSR (see the module
+/// docs).
 pub(crate) fn run_indexed<'scope, F>(n: usize, task: F)
 where
     F: Fn(usize) + Sync + 'scope,
@@ -289,12 +300,22 @@ where
     });
 
     {
-        // One runner job per worker; each drains the claim counter.
+        // One runner job per worker; each drains the claim counter in
+        // the dispatcher's floating-point mode.
         let task_ref: &(dyn Fn(usize) + Sync) = &task;
+        let mode = mxcsr();
         for _ in 0..runners {
             let state = Arc::clone(&state);
             let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                let own = mxcsr();
+                let switch = (own ^ mode) & !MXCSR_FLAGS != 0;
+                if switch {
+                    set_mxcsr(mode);
+                }
                 state.run_claims(task_ref);
+                if switch {
+                    set_mxcsr(own);
+                }
                 state.latch.record(Ok(()));
             });
             // SAFETY: `run_indexed` does not return until the latch counts
@@ -321,5 +342,113 @@ where
     let payload = state.latch.panic.lock().unwrap().take();
     if let Some(p) = payload {
         std::panic::resume_unwind(p);
+    }
+}
+
+/// The six sticky exception-flag bits of MXCSR. Arithmetic sets them and
+/// nothing here reads them, so they do not count as a mode difference.
+const MXCSR_FLAGS: u32 = 0x3F;
+
+// `std::arch`'s `_mm_getcsr`/`_mm_setcsr` are deprecated, and the shim
+// cannot depend on `gsgcn_tensor::fpmode`, so it carries its own two
+// instructions.
+#[cfg(target_arch = "x86_64")]
+fn mxcsr() -> u32 {
+    let mut v = 0u32;
+    // SAFETY: `stmxcsr` stores the 32-bit MXCSR into `v`, a live,
+    // aligned local; SSE is part of the x86_64 baseline.
+    unsafe {
+        std::arch::asm!("stmxcsr [{}]", in(reg) &mut v, options(nostack, preserves_flags));
+    }
+    v
+}
+
+#[cfg(target_arch = "x86_64")]
+fn set_mxcsr(v: u32) {
+    // SAFETY: `ldmxcsr` reads 32 bits from `v`, a live local. The value
+    // was read by `stmxcsr` on a thread of this process, so no reserved
+    // bit is set and it cannot fault. It changes only this thread's
+    // rounding and flush state.
+    unsafe {
+        std::arch::asm!("ldmxcsr [{}]", in(reg) &v, options(nostack, preserves_flags, readonly));
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn mxcsr() -> u32 {
+    0
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn set_mxcsr(_: u32) {}
+
+#[cfg(all(test, target_arch = "x86_64"))]
+mod tests {
+    use super::*;
+    use crate::prelude::*;
+    use std::hint::black_box;
+    use std::sync::Barrier;
+    use std::thread::ThreadId;
+
+    const HALF_MIN: f32 = f32::MIN_POSITIVE / 2.0;
+
+    /// Multiplies one subnormal by one per piece (64 elements, one piece
+    /// each) and reports which thread ran it. Pieces 0 and 1 meet at a
+    /// barrier, so the thread that claims one cannot claim the other:
+    /// the dispatcher and the worker both run pieces.
+    fn products(pool: &ThreadPool) -> Vec<(ThreadId, u32)> {
+        let xs = vec![HALF_MIN; 64];
+        let meet = Barrier::new(2);
+        pool.install(|| {
+            xs.par_iter()
+                .enumerate()
+                .map(|(i, &x)| {
+                    if i < 2 {
+                        meet.wait();
+                    }
+                    let bits = (black_box(x) * black_box(1.0f32)).to_bits();
+                    (std::thread::current().id(), bits)
+                })
+                .collect()
+        })
+    }
+
+    fn threads(run: &[(ThreadId, u32)]) -> usize {
+        let ids: std::collections::HashSet<_> = run.iter().map(|&(id, _)| id).collect();
+        ids.len()
+    }
+
+    /// The single worker's own MXCSR, read outside any parallel call.
+    fn worker_mxcsr(pool: &ThreadPool) -> u32 {
+        let (tx, rx) = std::sync::mpsc::channel();
+        pool.shared
+            .push(Box::new(move || tx.send(mxcsr()).unwrap()));
+        rx.recv().unwrap()
+    }
+
+    #[test]
+    fn pieces_run_in_the_dispatchers_fp_mode() {
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let ieee = mxcsr();
+        set_mxcsr(ieee | 0x8040); // FTZ | DAZ on the dispatcher only
+        let flushed = products(&pool);
+        set_mxcsr(ieee);
+        assert_eq!(threads(&flushed), 2);
+        assert!(
+            flushed.iter().all(|&(_, bits)| bits == 0),
+            "every piece flushes under a flushing dispatcher"
+        );
+
+        assert_eq!(
+            (worker_mxcsr(&pool) ^ ieee) & !MXCSR_FLAGS,
+            0,
+            "the worker restored its own mode"
+        );
+        let after = products(&pool);
+        assert_eq!(threads(&after), 2);
+        assert!(
+            after.iter().all(|&(_, bits)| bits == HALF_MIN.to_bits()),
+            "every piece runs IEEE under an IEEE dispatcher"
+        );
     }
 }

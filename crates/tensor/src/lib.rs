@@ -25,6 +25,7 @@
 pub mod alloc;
 pub mod amx;
 pub mod bf16;
+pub mod fpmode;
 pub mod gemm;
 pub mod init;
 pub mod matrix;
