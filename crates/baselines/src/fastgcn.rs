@@ -209,7 +209,7 @@ impl<'a> FastGcnTrainer<'a> {
     /// zero (`gsgcn_tensor::fpmode`), so the baselines and GS-GCN are
     /// timed under the same numeric contract.
     pub fn train_batch(&mut self, targets: &[u32]) -> f32 {
-        let _flush = FlushDenormals::new();
+        let _flush = FlushDenormals::enter();
         let start = Instant::now();
         let seed = self.cfg.seed ^ self.t.wrapping_mul(0x2545F4914F6CDD1D);
         let (input_nodes, blocks, empty_frac) = self.sample_blocks(targets, seed);

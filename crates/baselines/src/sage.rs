@@ -174,7 +174,7 @@ impl<'a> SageTrainer<'a> {
     /// zero (`gsgcn_tensor::fpmode`), so the baselines and GS-GCN are
     /// timed under the same numeric contract.
     pub fn train_batch(&mut self, targets: &[u32]) -> f32 {
-        let _flush = FlushDenormals::new();
+        let _flush = FlushDenormals::enter();
         let start = Instant::now();
         let seed = self.cfg.seed ^ (self.t.wrapping_mul(0x9E3779B97F4A7C15));
         let (input_nodes, blocks) = self.sample_blocks(targets, seed);

@@ -219,7 +219,7 @@ impl GcnModel {
     /// mode is restored on return. Inference (`infer_*`, `eval_loss`)
     /// takes no guard and runs in the caller's mode, IEEE by default.
     pub fn train_step(&mut self, g: &CsrGraph, x: &DMatrix, y: &DMatrix) -> StepResult {
-        let _flush = FlushDenormals::new();
+        let _flush = FlushDenormals::enter();
         assert_eq!(x.rows(), g.num_vertices(), "feature/vertex mismatch");
         assert_eq!(y.rows(), g.num_vertices(), "label/vertex mismatch");
         let mut timings = KernelTimings::default();
@@ -787,7 +787,7 @@ mod tests {
         m.train_step(&g, &x, &y);
         assert!(!flushing(), "an IEEE caller stays IEEE");
         {
-            let _flush = FlushDenormals::new();
+            let _flush = FlushDenormals::enter();
             m.train_step(&g, &x, &y);
             assert!(flushing(), "a flushing caller stays flushing");
         }
@@ -803,7 +803,7 @@ mod tests {
             out.data().iter().all(|&p| p > 0.0 && p < f32::MIN_POSITIVE),
             "inference under an IEEE caller keeps subnormal probabilities"
         );
-        let _flush = FlushDenormals::new();
+        let _flush = FlushDenormals::enter();
         m.infer_probs_into(&g, &x, &mut ws, &mut out);
         assert!(
             out.data().iter().all(|&p| p.to_bits() == 0),

@@ -5,7 +5,7 @@
 //!   run explores cases the fixed stream never reaches. A failure message
 //!   names the seed, and setting it again replays the same cases.
 //! * `PROPTEST_CASES=N` runs `N` cases per property instead of the
-//!   configured count.
+//!   configured count. CI raises it on the rotating-seed run.
 //!
 //! With neither set, every stream and case count is exactly the fixed one.
 
@@ -17,7 +17,7 @@ use std::sync::OnceLock;
 /// Panics when the variable is set but is not a `u64`.
 pub fn seed_override() -> Option<u64> {
     static SEED: OnceLock<Option<u64>> = OnceLock::new();
-    *SEED.get_or_init(|| parse_override("PROPTEST_SEED"))
+    *SEED.get_or_init(|| env_override("PROPTEST_SEED"))
 }
 
 /// The number of cases to run: `PROPTEST_CASES` when set, else
@@ -28,12 +28,18 @@ pub fn seed_override() -> Option<u64> {
 pub fn cases(configured: u32) -> u32 {
     static CASES: OnceLock<Option<u32>> = OnceLock::new();
     CASES
-        .get_or_init(|| parse_override("PROPTEST_CASES"))
+        .get_or_init(|| env_override("PROPTEST_CASES"))
         .unwrap_or(configured)
 }
 
-fn parse_override<T: std::str::FromStr>(name: &str) -> Option<T> {
-    let raw = std::env::var(name).ok()?;
+fn env_override<T: std::str::FromStr>(name: &str) -> Option<T> {
+    parse_override(name, std::env::var(name).ok())
+}
+
+/// The override in `raw`, the value of the variable `name`; `None` when
+/// unset.
+fn parse_override<T: std::str::FromStr>(name: &str, raw: Option<String>) -> Option<T> {
+    let raw = raw?;
     match raw.trim().parse() {
         Ok(v) => Some(v),
         Err(_) => panic!(
@@ -109,7 +115,7 @@ impl TestRng {
 
 #[cfg(test)]
 mod tests {
-    use super::TestRng;
+    use super::{parse_override, TestRng};
 
     #[test]
     fn deterministic_per_name_and_case() {
@@ -134,6 +140,25 @@ mod tests {
         assert_ne!(s7, fixed);
         assert_ne!(s0, s7);
         assert_eq!(s7, TestRng::for_case_seeded("foo", 3, Some(7)).next_u64());
+    }
+
+    #[test]
+    fn overrides_parse_from_the_variable_value() {
+        assert_eq!(parse_override::<u32>("PROPTEST_CASES", None), None);
+        assert_eq!(
+            parse_override::<u32>("PROPTEST_CASES", Some(" 96\n".into())),
+            Some(96)
+        );
+        assert_eq!(
+            parse_override::<u64>("PROPTEST_SEED", Some("18446744073709551615".into())),
+            Some(u64::MAX)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "PROPTEST_CASES=\"-1\" is not a valid u32")]
+    fn a_malformed_override_panics() {
+        parse_override::<u32>("PROPTEST_CASES", Some("-1".into()));
     }
 
     #[test]

@@ -34,10 +34,11 @@ const FTZ_DAZ: u32 = 0x8040;
 
 /// RAII guard: subnormals flush to zero on this thread until it drops.
 ///
-/// `new` saves MXCSR and sets FTZ|DAZ; drop (also during unwinding)
-/// restores the saved value, so guards nest. The guard is `!Send`: it
-/// must drop on the thread whose mode it changed. On targets other than
-/// x86_64 it does nothing.
+/// [`enter`](Self::enter) saves MXCSR and sets FTZ|DAZ; drop (also
+/// during unwinding) restores the saved value, so guards nest. The guard
+/// is `!Send`: it must drop on the thread whose mode it changed. It has
+/// no `Default`: the only way to flush is an explicit `enter` at the
+/// training-step sites. On targets other than x86_64 it does nothing.
 #[must_use = "the mode is restored as soon as the guard drops"]
 pub struct FlushDenormals {
     saved: u32,
@@ -46,19 +47,13 @@ pub struct FlushDenormals {
 
 impl FlushDenormals {
     /// Switch this thread to flush-to-zero until the guard drops.
-    pub fn new() -> Self {
+    pub fn enter() -> Self {
         let saved = mxcsr();
         set_mxcsr(saved | FTZ_DAZ);
         FlushDenormals {
             saved,
             _not_send: PhantomData,
         }
-    }
-}
-
-impl Default for FlushDenormals {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -117,7 +112,7 @@ mod tests {
     fn subnormals_flush_inside_the_guard_only() {
         assert!(half_min() * black_box(1.0) > 0.0, "IEEE outside the guard");
         {
-            let _g = FlushDenormals::new();
+            let _g = FlushDenormals::enter();
             assert_eq!((half_min() * black_box(1.0)).to_bits(), 0);
             // FTZ alone: a normal product that underflows flushes too.
             assert_eq!((black_box(1e-20f32) * black_box(1e-20f32)).to_bits(), 0);
@@ -129,11 +124,11 @@ mod tests {
     fn guards_nest_and_restore_the_callers_mode() {
         let before = control();
         {
-            let _outer = FlushDenormals::new();
+            let _outer = FlushDenormals::enter();
             let flushing = control();
             assert_eq!(flushing & FTZ_DAZ, FTZ_DAZ);
             {
-                let _inner = FlushDenormals::new();
+                let _inner = FlushDenormals::enter();
                 assert_eq!(control(), flushing);
             }
             assert_eq!(control(), flushing, "inner drop keeps the outer mode");
@@ -146,7 +141,7 @@ mod tests {
     fn restores_the_callers_mode_after_a_panic() {
         let before = control();
         let result = std::panic::catch_unwind(|| {
-            let _g = FlushDenormals::new();
+            let _g = FlushDenormals::enter();
             assert_eq!(control() & FTZ_DAZ, FTZ_DAZ);
             panic!("unwinds through the guard");
         });

@@ -5,7 +5,11 @@
 //! (mirroring `prop/kernels.rs`'s `thread_count_invariance`) and
 //! microkernel-tier equivalence: every tier the CPU can run must agree
 //! with the scalar reference tier on every layout, shape and pool size.
+//! One property repeats the layout and thread-count checks on
+//! subnormal-heavy operands under the training step's flush guard
+//! (`gsgcn_tensor::fpmode`).
 
+use gsgcn_tensor::fpmode::FlushDenormals;
 use gsgcn_tensor::{gemm, DMatrix};
 use proptest::prelude::*;
 
@@ -14,22 +18,64 @@ use proptest::prelude::*;
 /// selector so cases cover edges densely rather than uniformly.
 const EDGE_DIMS: [usize; 14] = [1, 2, 7, 8, 9, 15, 17, 31, 32, 33, 47, 49, 65, 80];
 
-/// `(A m×k, B k×n)` with every dimension drawn from the edge set.
-fn edge_pair() -> impl Strategy<Value = (DMatrix, DMatrix)> {
+/// `(m, k, n)` with every dimension drawn from the edge set.
+fn edge_dims() -> impl Strategy<Value = (usize, usize, usize)> {
     (
         0usize..EDGE_DIMS.len(),
         0usize..EDGE_DIMS.len(),
         0usize..EDGE_DIMS.len(),
     )
-        .prop_flat_map(|(mi, ki, ni)| {
-            let (m, k, n) = (EDGE_DIMS[mi], EDGE_DIMS[ki], EDGE_DIMS[ni]);
-            (
-                proptest::collection::vec(-2.0f32..2.0, m * k)
-                    .prop_map(move |d| DMatrix::from_vec(m, k, d)),
-                proptest::collection::vec(-2.0f32..2.0, k * n)
-                    .prop_map(move |d| DMatrix::from_vec(k, n, d)),
-            )
+        .prop_map(|(mi, ki, ni)| (EDGE_DIMS[mi], EDGE_DIMS[ki], EDGE_DIMS[ni]))
+}
+
+/// `(A m×k, B k×n)` with every dimension drawn from the edge set.
+fn edge_pair() -> impl Strategy<Value = (DMatrix, DMatrix)> {
+    edge_dims().prop_flat_map(|(m, k, n)| {
+        (
+            proptest::collection::vec(-2.0f32..2.0, m * k)
+                .prop_map(move |d| DMatrix::from_vec(m, k, d)),
+            proptest::collection::vec(-2.0f32..2.0, k * n)
+                .prop_map(move |d| DMatrix::from_vec(k, n, d)),
+        )
+    })
+}
+
+/// `rows × cols`, a third subnormal, a third tiny normals whose products
+/// underflow, a third in `[-2, 2)`; every third row (0, 3, 6, …) is
+/// wholly subnormal.
+fn subnormal_heavy(rows: usize, cols: usize) -> impl Strategy<Value = DMatrix> {
+    proptest::collection::vec((0u8..3, -1.0f32..1.0), rows * cols).prop_map(move |cells| {
+        DMatrix::from_fn(rows, cols, |i, j| {
+            let (kind, u) = cells[i * cols + j];
+            match if i % 3 == 0 { 0 } else { kind } {
+                0 => u * 1e-39,
+                1 => u * 1e-20,
+                _ => 2.0 * u,
+            }
         })
+    })
+}
+
+/// [`edge_pair`]'s shapes with [`subnormal_heavy`] operands.
+fn subnormal_pair() -> impl Strategy<Value = (DMatrix, DMatrix)> {
+    edge_dims().prop_flat_map(|(m, k, n)| (subnormal_heavy(m, k), subnormal_heavy(k, n)))
+}
+
+/// Run `f` on a `threads`-sized pool with subnormals flushed on the
+/// calling thread only; the pool must carry the mode to its workers.
+fn flushed<R: Send>(threads: usize, f: impl Fn() -> R + Sync) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .unwrap()
+        .install(|| {
+            let _flush = FlushDenormals::enter();
+            f()
+        })
+}
+
+fn bits(m: &DMatrix) -> Vec<u32> {
+    m.data().iter().map(|v| v.to_bits()).collect()
 }
 
 proptest! {
@@ -141,6 +187,41 @@ proptest! {
                 c_tn.max_abs_diff(&r_tn) < 1e-4,
                 "tn: tier {} vs scalar, {threads} threads", tier.name()
             );
+        }
+    }
+
+    /// Under the flush guard, all three layouts on subnormal-heavy
+    /// operands match the reference run under the same guard, every
+    /// wholly-subnormal row of A gives an output row of exact ±0 bits (a
+    /// subnormal would compare `== 0.0` under DAZ), and the bits are the
+    /// same on 1, 2 and 4 threads, so pieces that workers claim flush too.
+    #[test]
+    fn packed_gemm_flushes_like_the_reference((a, b) in subnormal_pair()) {
+        let reference = flushed(1, || gemm::matmul_reference(&a, &b));
+        let (at, bt) = (a.transpose(), b.transpose());
+        let layouts: [(&str, &(dyn Fn() -> DMatrix + Sync)); 3] = [
+            ("nn", &|| gemm::matmul(&a, &b)),
+            ("tn", &|| gemm::matmul_tn(&at, &b)),
+            ("nt", &|| gemm::matmul_nt(&a, &bt)),
+        ];
+        for (name, product) in layouts {
+            let one = flushed(1, product);
+            prop_assert!(
+                one.max_abs_diff(&reference) < 5e-3,
+                "{name} {:?}·{:?}", a.shape(), b.shape()
+            );
+            for i in (0..one.rows()).step_by(3) {
+                prop_assert!(
+                    (0..one.cols()).all(|j| one.get(i, j).to_bits() << 1 == 0),
+                    "{name}: subnormal row {i} did not flush"
+                );
+            }
+            for threads in [2, 4] {
+                prop_assert!(
+                    bits(&flushed(threads, product)) == bits(&one),
+                    "{name} {:?}·{:?}: {threads} threads differ from 1", a.shape(), b.shape()
+                );
+            }
         }
     }
 
